@@ -14,8 +14,9 @@ construction — nothing attaches to the runtime at all.)
 Part 2 reads the instrumented run's artifacts:
 
 * the **tracer**'s ring buffer — structured records of every lock
-  wait/hold, transaction lifecycle mark, and abort *with its cause*
-  (wound, death, timeout, detected, crash, cascade...), exportable as
+  wait/hold, transaction lifecycle mark, and abort *with the cause
+  the runtime passed* (wound, death, timeout, detected, crash,
+  unavailable, commit), exportable as
   JSONL or as a Chrome ``trace_event`` file you can drop into
   https://ui.perfetto.dev;
 * the **sampler**'s windowed time series — in-flight concurrency,

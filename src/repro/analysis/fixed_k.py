@@ -81,15 +81,6 @@ def _held_or_untouched(t: Transaction, mask: int) -> frozenset[str]:
     )
 
 
-def _entities_locked(t: Transaction, mask: int) -> frozenset[str]:
-    """R(T'): entities whose Lock is in the prefix mask."""
-    return frozenset(
-        entity
-        for entity in t.entities
-        if mask >> t.lock_node(entity) & 1
-    )
-
-
 def _maximal_prefix_avoiding(t: Transaction, forbidden: frozenset[str]) -> (
         int):
     """Largest prefix of T that locks no entity of ``forbidden``."""

@@ -18,11 +18,12 @@ to F simultaneous site failures:
    the release fan-out (``cm_release`` + ACKs) is inherited from 2PC;
 4. if the leader is down when the retry timer fires
    (``config.commit_timeout``), the next up acceptor in rotation
-   *takes over* the round (``Simulator.leader_takeover``): it runs a
-   phase-1 round trip to every up acceptor (``cm_state``) to recover
-   the registered votes, then finishes the round itself. Prepared
-   participants therefore stop blocking on a crashed coordinator —
-   the stall 2PC cannot avoid (its retry handler can only wait).
+   *takes over* the round (counted in ``coordinator_takeovers``): it
+   runs a phase-1 round trip to every up acceptor (``cm_state``) to
+   recover the registered votes, then finishes the round itself.
+   Prepared participants therefore stop blocking on a crashed
+   coordinator — the stall 2PC cannot avoid (its retry handler can
+   only wait).
 
 Acceptor state is durable across crashes; a *down* acceptor simply
 receives no messages, so votes addressed to it are lost until a
@@ -114,11 +115,6 @@ class PaxosCommit(TwoPhaseCommit):
         self.fault_tolerance = max(0, sim.config.commit_fault_tolerance)
         sim.register_handler("cm_learn", self._on_learn)
         sim.register_handler("cm_state", self._on_state)
-
-    def _send_acceptor(self, delay: float, payload: tuple) -> None:
-        """An acceptor-bank message: counted in both ledgers."""
-        self.sim.result.acceptor_messages += 1
-        self._send(delay, payload)
 
     def _send_acceptor_to(self, src: str, dst: str,
                           payload: tuple) -> None:
@@ -298,7 +294,7 @@ class PaxosCommit(TwoPhaseCommit):
         round.ballot += 1
         round.coordinator = new_leader
         round.learned = {}
-        sim.leader_takeover(txn, new_leader)
+        sim.result.coordinator_takeovers += 1
         # Phase 1: recover the registered votes from the up
         # acceptors. The co-located registry merges for free; every
         # other up acceptor costs a query/response round trip.

@@ -399,11 +399,6 @@ class SiteLockManager:
     def waiters(self, entity: Entity) -> list[int]:
         return list(self._queue.get(entity, ()))
 
-    def queued_mode(self, entity: Entity, txn: int) -> str | None:
-        """The mode ``txn`` is queued for on ``entity`` (None if not
-        queued)."""
-        return self._queue.get(entity, {}).get(txn)
-
     def involved(self) -> list[int]:
         """Every transaction holding or waiting for a lock at this site.
 
@@ -413,10 +408,6 @@ class SiteLockManager:
         txns = set(self._txn_held)
         txns.update(self._txn_wait)
         return sorted(txns)
-
-    def is_involved(self, txn: int) -> bool:
-        """O(1): does ``txn`` hold or wait for anything here?"""
-        return txn in self._txn_held or txn in self._txn_wait
 
     def held_by(self, txn: int) -> list[Entity]:
         return sorted(self._txn_held.get(txn, ()))

@@ -9,7 +9,23 @@ from dataclasses import dataclass, field
 
 from repro.util.render import format_table
 
-__all__ = ["SimulationResult", "percentile", "percentiles"]
+__all__ = [
+    "ABORT_CAUSE_COUNTERS", "SimulationResult", "percentile", "percentiles",
+]
+
+#: Abort cause -> the result counters one abort of that cause bumps
+#: (besides ``aborts``). ``unavailable`` refines ``crash``: it bumps
+#: ``crash_aborts`` too, so the other causes' counters partition
+#: ``aborts``.
+ABORT_CAUSE_COUNTERS: dict[str, tuple[str, ...]] = {
+    "wound": ("wounds",),
+    "death": ("deaths",),
+    "timeout": ("timeouts",),
+    "detected": ("detected",),
+    "crash": ("crash_aborts",),
+    "unavailable": ("crash_aborts", "unavailable_aborts"),
+    "commit": ("commit_aborts",),
+}
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -367,14 +383,12 @@ class SimulationResult:
 
     @property
     def aborts_by_cause(self) -> dict[str, int]:
-        """Abort counts keyed by cause."""
+        """Abort counts keyed by cause; they partition ``aborts``
+        (``crash`` includes its ``unavailable`` refinement)."""
         return {
-            "wound": self.wounds,
-            "death": self.deaths,
-            "timeout": self.timeouts,
-            "detected": self.detected,
-            "crash": self.crash_aborts,
-            "commit": self.commit_aborts,
+            cause: getattr(self, counters[0])
+            for cause, counters in ABORT_CAUSE_COUNTERS.items()
+            if cause != "unavailable"
         }
 
     def summary_row(self) -> list[object]:

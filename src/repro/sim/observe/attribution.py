@@ -56,19 +56,20 @@ per-cell profile time is charged once. Failed commit rounds fold into
 final exec/commit split, and a round that aborted is coordinator
 stall, not useful commit time).
 
+**Abort causes.** Each ``abort`` probe carries the cause the runtime
+passed to its abort entry point; the engine counts it as given.
+
 **Sampling.** Under 1-in-N transaction sampling (``ObserveConfig.
 sample_every``) the hub withholds the per-transaction probes of
-unsampled transactions, but always delivers ``counter`` and ``abort``
-probes so the LIFO cause pairing stays exact; abort *counts* per
-cause are then exact while blocked-time, blame and wasted-time
-figures are estimates over the sampled population — the summary is
-marked ``sampled: true`` accordingly.
+unsampled transactions, but always delivers ``abort`` probes; abort
+*counts* per cause are then exact while blocked-time, blame and
+wasted-time figures are estimates over the sampled population — the
+summary is marked ``sampled: true`` accordingly.
 """
 
 from __future__ import annotations
 
 from repro.sim.observe.probes import EVENT_TXN_ARG, ProbeSink
-from repro.sim.observe.trace import CAUSE_OF_COUNTER
 
 __all__ = [
     "LatencyAttribution",
@@ -181,7 +182,6 @@ class LatencyAttribution:
         self._held_by: dict = {}
         self._waiters: dict = {}  # cell -> {waiter txn: None} (ordered)
         self._prepared: set = set()  # PREPARED / release-in-flight
-        self._causes: list[str] = []  # LIFO of armed abort causes
         self._edges: dict = {}  # (waiter, holder, cell) -> blocked time
         self._abort_cause_counts: dict = {}
         self._abort_cause_wasted: dict = {}
@@ -377,18 +377,6 @@ class LatencyAttribution:
                         # Release fan-out drained: the holder stops
                         # counting as a blocking coordinator.
                         self._prepared.discard(txn)
-        elif kind == "counter":
-            name = args[0]
-            cause = CAUSE_OF_COUNTER.get(name)
-            if cause is not None:
-                causes = self._causes
-                if (
-                    cause == "unavailable"
-                    and causes and causes[-1] == "crash"
-                ):
-                    causes[-1] = cause  # refinement, same abort
-                else:
-                    causes.append(cause)
         elif kind == "arrive":
             txn = args[0]
             if txn not in states:
@@ -408,11 +396,12 @@ class LatencyAttribution:
             if st is not None and not st.done:
                 self._finish(st, now)
         elif kind == "abort":
-            self._on_abort(args[0], args[1], now)
+            self._on_abort(*args, now)
 
-    def _on_abort(self, txn: int, attempt: int, now: float) -> None:
+    def _on_abort(
+        self, txn: int, attempt: int, cause: str, now: float
+    ) -> None:
         self._aborts_seen += 1
-        cause = self._causes.pop() if self._causes else "cascade"
         counts = self._abort_cause_counts
         counts[cause] = counts.get(cause, 0) + 1
         st = self._states.get(txn)
@@ -671,9 +660,9 @@ def replay_jsonl(records) -> LatencyAttribution:
 
     Accepts the dicts :func:`repro.sim.observe.trace.iter_formatted`
     emits (and ``load_trace`` returns); cells are keyed by their
-    resolved names, causes re-derived from the counter records with
-    the same LIFO the tracer uses, so offline results match the online
-    sink wherever the ring kept the whole run.
+    resolved names and each abort record brings its own cause, so
+    offline results match the online sink wherever the ring kept the
+    whole run. Counter records carry nothing the engine needs.
     """
     engine = LatencyAttribution()
     for rec in records:
@@ -683,10 +672,8 @@ def replay_jsonl(records) -> LatencyAttribution:
             engine.feed(kind, t, (rec["event"], *rec["args"]))
         elif kind in _CELL_KINDS:
             engine.feed(kind, t, (rec["site"], rec["entity"], rec["txn"]))
-        elif kind == "counter":
-            engine.feed(kind, t, (rec["name"], rec["value"]))
         elif kind == "abort":
-            engine.feed(kind, t, (rec["txn"], rec["attempt"]))
+            engine.feed(kind, t, (rec["txn"], rec["attempt"], rec["cause"]))
         elif kind in ("arrive", "prepared", "commit"):
             engine.feed(kind, t, (rec["txn"],))
     return engine

@@ -13,9 +13,10 @@ directory:
 
 Triggers:
 
-* **deadlock detection** — the ``detected`` counter probe fires before
-  the victim aborts, so the snapshot still contains the cycle;
-* **site crash** — the ``crashes`` counter probe fires before the
+* **deadlock detection** — an ``abort`` probe with cause
+  ``detected`` fires before the victim releases anything, so the
+  snapshot still contains the cycle;
+* **site crash** — the ``site_crash`` event probe fires before the
   crash releases the site's locks;
 * **abort cascade** — ``flight_cascade_threshold`` aborts within a
   single dispatched event (the cascade worklist runs synchronously, so
@@ -65,16 +66,14 @@ class FlightRecorder(ProbeSink):
         self.ring.append((time, kind, args))
         if kind == "event":
             self._cascade = 0
+            if args[0] == "site_crash":
+                self.dump("site-crash")
         elif kind == "abort":
+            if args[2] == "detected":
+                self.dump("deadlock-detected")
             self._cascade += 1
             if self._cascade == self.cascade_threshold:
                 self.dump("abort-cascade")
-        elif kind == "counter":
-            name = args[0]
-            if name == "detected":
-                self.dump("deadlock-detected")
-            elif name == "crashes":
-                self.dump("site-crash")
 
     def finalize(self, sim, result) -> None:
         pass

@@ -18,14 +18,14 @@ probe is installed by *interposition* when — and only when — an
   subclass whose ``__setattr__`` emits a ``counter`` probe for the
   monitored cause/health counters (wounds, deaths, timeouts, detected,
   crash/unavailable/commit aborts, crashes, waits, commit messages,
-  prepared blocks) — every one of those counters is incremented by the
-  runtime immediately *before* the abort it explains, which is what
-  lets the tracer attribute abort causes with a LIFO stack;
+  prepared blocks);
 * transaction lifecycle: the hub shadows the instance methods the
   runtime and its subsystems invoke through attribute lookup
   (``add_transaction``, ``mark_prepared``, ``finish_commit``,
   ``_abort_task``) with wrappers emitting ``arrive`` / ``prepared`` /
-  ``commit`` / ``abort`` probes;
+  ``commit`` / ``abort`` probes. The ``abort`` probe carries the cause
+  the runtime passed to its abort entry point, so no consumer has to
+  infer it from the counter stream;
 * scheduling boundaries: ``sim.schedule`` is likewise an instance
   method invoked through attribute lookup by every send site (the
   issue/op fan-out, commit protocols, failure injection), so the hub
@@ -35,11 +35,11 @@ probe is installed by *interposition* when — and only when — an
   boundaries) without any hot-path test in the disabled mode.
 
 When 1-in-N transaction sampling is requested (``sample_every > 1``),
-the hub withholds the per-transaction probes of unsampled
-transactions from the *sample-aware* sinks (the tracer and the
-attribution engine) while global probes — counters, detector and
+the *sample-aware* sinks (the tracer and the attribution engine) sit
+behind one filter sink that withholds the per-transaction probes of
+unsampled transactions, while global probes — counters, detector and
 crash events — and every ``abort`` / ``prepared`` / ``commit`` probe
-still flow, keeping the LIFO abort-cause pairing and
+still flow, keeping the per-cause abort counts and the
 blocked-on-coordinator classification exact. Whole-stream consumers
 (the metrics sampler, the flight recorder, custom sinks) always see
 everything.
@@ -129,7 +129,9 @@ class ProbeSink:
     arrive     (txn,)                         open-system arrival
     prepared   (txn,)                         txn entered PREPARED
     commit     (txn,)                         txn committed
-    abort      (txn, attempt)                 txn aborted this attempt
+    abort      (txn, attempt, cause)          txn aborted this attempt;
+                                              cause is a key of
+                                              ``ABORT_CAUSE_COUNTERS``
     ========== ============================== ==========================
 
     Under a network model the ``event``/``sched`` payloads include the
@@ -148,10 +150,9 @@ class ProbeSink:
         """Called once after the run loop drains."""
 
 
-#: Result counters whose writes emit ``counter`` probes. Each abort
-#: *cause* counter is bumped by the runtime immediately before the
-#: abort it explains, so the probe stream carries enough order to
-#: attribute causes.
+#: Result counters whose writes emit ``counter`` probes. The abort
+#: *cause* counters change inside the runtime's abort entry point, so
+#: their probes follow the ``abort`` probe they count.
 MONITORED_COUNTERS = frozenset({
     "wounds", "deaths", "timeouts", "detected", "crash_aborts",
     "unavailable_aborts", "commit_aborts", "crashes", "waits",
@@ -199,24 +200,40 @@ EVENT_TXN_ARG = {
 }
 
 #: probe kinds delivered to sample-aware sinks for *every*
-#: transaction even under 1-in-N sampling: counters and aborts keep
-#: the LIFO cause pairing exact; prepared/commit keep the
+#: transaction even under 1-in-N sampling: counters are global, aborts
+#: keep the per-cause abort counts exact, and prepared/commit keep the
 #: blocked-on-coordinator holder classification exact.
 _SAMPLE_ALWAYS = frozenset({"counter", "abort", "prepared", "commit"})
 
-_CELL_PROBES = frozenset({"wait", "unwait", "hold", "unhold"})
 
+class _SampleFilter(ProbeSink):
+    """1-in-N transaction sampling in front of sample-aware sinks."""
 
-def _sample_keep(kind: str, args: tuple, every: int) -> bool:
-    """Whether a probe reaches the sample-aware sinks (1-in-N)."""
-    if kind in _SAMPLE_ALWAYS:
-        return True
-    if kind == "event" or kind == "sched":
-        idx = EVENT_TXN_ARG.get(args[0])
-        return idx is None or args[idx] % every == 0
-    if kind == "arrive":
-        return args[0] % every == 0
-    return args[2] % every == 0  # cell probes: (sid, eid, txn)
+    def __init__(self, sinks: list[ProbeSink], every: int):
+        self.sinks = tuple(sinks)
+        self.every = every
+
+    def bind(self, sim) -> None:
+        for sink in self.sinks:
+            sink.bind(sim)
+
+    def on_probe(self, kind: str, time: float, args: tuple) -> None:
+        if kind in _SAMPLE_ALWAYS:
+            keep = True
+        elif kind == "event" or kind == "sched":
+            idx = EVENT_TXN_ARG.get(args[0])
+            keep = idx is None or args[idx] % self.every == 0
+        elif kind == "arrive":
+            keep = args[0] % self.every == 0
+        else:  # cell probes: (sid, eid, txn)
+            keep = args[2] % self.every == 0
+        if keep:
+            for sink in self.sinks:
+                sink.on_probe(kind, time, args)
+
+    def finalize(self, sim, result) -> None:
+        for sink in self.sinks:
+            sink.finalize(sim, result)
 
 
 class _CountedResult(SimulationResult):
@@ -278,30 +295,16 @@ class ObserverHub:
             if config.attribution
             else None
         )
-        self._sinks: list[ProbeSink] = [
-            sink
-            for sink in (
-                self.tracer, self.sampler, self.flight, self.attribution
-            )
-            if sink is not None
-        ]
-        self._sinks.extend(extra_sinks)
         # 1-in-N sampling: the tracer and the attribution engine are
-        # sample-aware; whole-stream sinks always see everything.
-        self._every = config.sample_every
-        if self._every > 1:
-            aware = [
-                s
-                for s in (self.tracer, self.attribution)
-                if s is not None
-            ]
-            self._full: tuple = tuple(
-                s for s in self._sinks if s not in aware
-            )
-            self._sampled: tuple = tuple(aware)
-        else:
-            self._full = tuple(self._sinks)
-            self._sampled = ()
+        # sample-aware and share one filter; whole-stream sinks always
+        # see everything.
+        aware = [s for s in (self.tracer, self.attribution) if s is not None]
+        if aware and config.sample_every > 1:
+            aware = [_SampleFilter(aware, config.sample_every)]
+        self._sinks: list[ProbeSink] = [
+            s for s in (self.sampler, self.flight) if s is not None
+        ] + aware
+        self._sinks.extend(extra_sinks)
         self._attached = False
 
     # ------------------------------------------------------------------
@@ -310,11 +313,8 @@ class ObserverHub:
 
     def _emit(self, kind: str, args: tuple) -> None:
         t = self.sim._now
-        for sink in self._full:
+        for sink in self._sinks:
             sink.on_probe(kind, t, args)
-        if self._sampled and _sample_keep(kind, args, self._every):
-            for sink in self._sampled:
-                sink.on_probe(kind, t, args)
 
     def _on_counter(self, name: str, value) -> None:
         self._emit("counter", (name, value))
@@ -337,28 +337,11 @@ class ObserverHub:
         registry = sim._registry
         handlers = registry._handlers  # shared dict; grows in place
 
-        if not self._sampled:
-            def dispatch(
-                payload, _handlers=handlers, _sinks=sinks, _sim=sim
-            ):
-                now = _sim._now
-                for sink in _sinks:
-                    sink.on_probe("event", now, payload)
-                _handlers[payload[0]](*payload[1:])
-        else:
-            def dispatch(
-                payload, _handlers=handlers, _full=self._full,
-                _sampled=self._sampled, _sim=sim, _every=self._every,
-                _txn_arg=EVENT_TXN_ARG.get,
-            ):
-                now = _sim._now
-                for sink in _full:
-                    sink.on_probe("event", now, payload)
-                idx = _txn_arg(payload[0])
-                if idx is None or payload[idx] % _every == 0:
-                    for sink in _sampled:
-                        sink.on_probe("event", now, payload)
-                _handlers[payload[0]](*payload[1:])
+        def dispatch(payload, _handlers=handlers, _sinks=sinks, _sim=sim):
+            now = _sim._now
+            for sink in _sinks:
+                sink.on_probe("event", now, payload)
+            _handlers[payload[0]](*payload[1:])
 
         registry.dispatch = dispatch
 
@@ -420,15 +403,15 @@ class ObserverHub:
         # freshly created generator immediately (LIFO cascade), and
         # the task body aborts iff the instance is still RUNNING at
         # creation — so emitting here, under the same guard, reports
-        # exactly the aborts that happen.
+        # exactly the aborts that happen, each with its cause.
         from repro.sim.runtime import _RUNNING
 
         orig_abort_task = sim._abort_task
 
-        def _abort_task(inst):
+        def _abort_task(inst, cause):
             if inst.status == _RUNNING:
-                emit("abort", (inst.index, inst.attempt))
-            return orig_abort_task(inst)
+                emit("abort", (inst.index, inst.attempt, cause))
+            return orig_abort_task(inst, cause)
 
         sim._abort_task = _abort_task
 

@@ -15,14 +15,10 @@ records and exports them as
   result counters become Chrome counter tracks. One simulated time
   unit is rendered as one millisecond.
 
-Abort causes are attributed when records are formatted: every cause
-counter (wound, death, timeout, detected, crash, unavailable, commit)
-is incremented by the runtime immediately before the abort it
-explains, so a LIFO stack of armed causes pairs them up exactly even
-through nested abort cascades; an abort with no armed cause is a
-cascade victim (its locks were released by another abort's cleanup).
-The one approximation: if the ring dropped the arming counter record
-but kept the abort, that abort reports ``cascade``.
+Every abort record carries the cause the runtime passed to its abort
+entry point (``wound``, ``death``, ``timeout``, ``detected``,
+``crash``, ``unavailable`` or ``commit``), so a record's cause never
+depends on which other records the ring kept.
 """
 
 from __future__ import annotations
@@ -39,27 +35,11 @@ __all__ = [
     "summarize_trace",
 ]
 
-#: counter name -> abort cause it arms.
-CAUSE_OF_COUNTER = {
-    "wounds": "wound",
-    "deaths": "death",
-    "timeouts": "timeout",
-    "detected": "detected",
-    "crash_aborts": "crash",
-    "unavailable_aborts": "unavailable",
-    "commit_aborts": "commit",
-}
-
 _CELL_KINDS = frozenset({"wait", "unwait", "hold", "unhold"})
 
 
 def iter_formatted(records, entity_names, site_names):
-    """Render raw ``(time, kind, args)`` records as dicts, in order.
-
-    Performs the cause attribution described in the module docstring,
-    so it must see the records in emission order.
-    """
-    causes: list[str] = []
+    """Render raw ``(time, kind, args)`` records as dicts, in order."""
     for time, kind, args in records:
         if kind == "event" or kind == "sched":
             yield {
@@ -79,23 +59,15 @@ def iter_formatted(records, entity_names, site_names):
             }
         elif kind == "counter":
             name, value = args
-            cause = CAUSE_OF_COUNTER.get(name)
-            if cause is not None:
-                if cause == "unavailable" and causes and causes[-1] == "crash":
-                    # _request_lock bumps crash_aborts then
-                    # unavailable_aborts for the same abort; the
-                    # refined cause wins.
-                    causes[-1] = cause
-                else:
-                    causes.append(cause)
             yield {"t": time, "kind": "counter", "name": name, "value": value}
         elif kind == "abort":
+            txn, attempt, cause = args
             yield {
                 "t": time,
                 "kind": "abort",
-                "txn": args[0],
-                "attempt": args[1],
-                "cause": causes.pop() if causes else "cascade",
+                "txn": txn,
+                "attempt": attempt,
+                "cause": cause,
             }
         else:  # arrive, prepared, commit
             yield {"t": time, "kind": kind, "txn": args[0]}

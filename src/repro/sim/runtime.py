@@ -95,7 +95,7 @@ from repro.sim.durability import DurabilityConfig, DurabilityManager
 from repro.sim.events import EventQueue, HandlerRegistry
 from repro.sim.failures import FailureInjector
 from repro.sim.locks import EXCLUSIVE, SHARED, SiteLockManager
-from repro.sim.metrics import SimulationResult
+from repro.sim.metrics import ABORT_CAUSE_COUNTERS, SimulationResult
 from repro.sim.network import NetworkConfig, NetworkModel
 from repro.sim.observe import ObserveConfig, ObserverHub
 from repro.sim.policies import Decision, Policy, make_policy
@@ -691,16 +691,6 @@ class Simulator:
         start = self._site_ids[coordinator]
         return tuple(names[(start + k) % n] for k in range(count))
 
-    def leader_takeover(self, txn: int, new_leader: str) -> None:
-        """Record that a commit round's leadership moved.
-
-        The seam non-blocking protocols report through when a down
-        coordinator is deposed: the counter feeds the results layer,
-        and observability (when attached) sees the subsequent protocol
-        traffic under the new leader's site.
-        """
-        self.result.coordinator_takeovers += 1
-
     def mark_prepared(self, inst: _Instance) -> None:
         """Enter the PREPARED window: unabortable, locks retained."""
         inst.status = _PREPARED
@@ -723,11 +713,10 @@ class Simulator:
         """Abort a PREPARED transaction whose commit round failed."""
         if inst.status != _PREPARED:
             return
-        self.result.commit_aborts += 1
         self.release_retained(inst)
         inst.status = _RUNNING  # re-enter the abortable state
         inst.prepared_since = -1.0
-        self._abort(inst)
+        self._abort(inst, "commit")
 
     def release_retained(
         self, inst: _Instance, site_name: str | None = None
@@ -793,8 +782,7 @@ class Simulator:
         for txn in waiters + holders:
             inst = self._instances[txn]
             if inst.status == _RUNNING:
-                self.result.crash_aborts += 1
-                self._abort(inst)
+                self._abort(inst, "crash")
 
     # ------------------------------------------------------------------
     # helpers
@@ -895,8 +883,7 @@ class Simulator:
             if not all(up[sid] for sid in sites):
                 # An operation site is down; the transaction's volatile
                 # state is lost with it.
-                self.result.crash_aborts += 1
-                self._abort(inst)
+                self._abort(inst, "crash")
                 return
         self.schedule(
             self._service_time,
@@ -941,9 +928,7 @@ class Simulator:
                 # crashed replica blocks writes, under quorum a lost
                 # majority blocks everything. The access fails exactly
                 # like an issue to a down site.
-                self.result.crash_aborts += 1
-                self.result.unavailable_aborts += 1
-                self._abort(inst)
+                self._abort(inst, "unavailable")
                 return
         inst.lock_sites[eid] = sites
         if len(sites) == 1 and (
@@ -993,8 +978,7 @@ class Simulator:
         eid = inst.eids[node]
         if not self.site_id_is_up(sid):
             # The replica crashed while the request was in flight.
-            self.result.crash_aborts += 1
-            self._abort(inst)
+            self._abort(inst, "crash")
             return
         mode = SHARED if eid in inst.shared_eids else EXCLUSIVE
         self._request_replica(inst, node, sid, mode)
@@ -1060,8 +1044,7 @@ class Simulator:
                 self.result.prepared_blocks += 1
             if decision is Decision.ABORT_SELF:
                 granted = site.cancel_wait(inst.index, eid)
-                self.result.deaths += 1
-                self._abort(inst)
+                self._abort(inst, "death")
                 for grantee in granted:
                     self._on_grant(grantee, eid, sid)
                 return
@@ -1069,8 +1052,7 @@ class Simulator:
             self.result.waits += 1
             if decision is Decision.ABORT_HOLDER:
                 if holder_inst.status == _RUNNING:
-                    self.result.wounds += 1
-                    self._abort(holder_inst)
+                    self._abort(holder_inst, "wound")
                 return
             if self.policy.uses_timeout:
                 self.schedule(
@@ -1100,8 +1082,7 @@ class Simulator:
                     prepared_counted = True
             if decision is Decision.ABORT_SELF:
                 granted = site.cancel_wait(inst.index, eid)
-                self.result.deaths += 1
-                self._abort(inst)
+                self._abort(inst, "death")
                 for grantee in granted:
                     self._on_grant(grantee, eid, sid)
                 return
@@ -1117,8 +1098,7 @@ class Simulator:
             for holder_inst in wounded:
                 if holder_inst.status != _RUNNING:
                     continue  # an earlier wound's cascade got it first
-                self.result.wounds += 1
-                self._abort(holder_inst)
+                self._abort(holder_inst, "wound")
             return
         if self.policy.uses_timeout:
             self.schedule(
@@ -1277,9 +1257,8 @@ class Simulator:
             if w_inst.status != _RUNNING or key not in w_inst.waiting:
                 # The snapshot is stale: an earlier iteration's abort
                 # cascade already removed this waiter from the queue.
-                # It must neither die again (the abort would no-op but
-                # the death counter would drift) nor wound the holder
-                # on behalf of a conflict that no longer exists.
+                # It must neither die nor wound the holder on behalf
+                # of a conflict that no longer exists.
                 continue
             # A waiter that passed the staleness check is still queued
             # with its snapshot mode (queued modes never change), so
@@ -1295,12 +1274,10 @@ class Simulator:
                 continue
             decision = on_conflict(w_inst.timestamp, inst.timestamp)
             if decision is Decision.ABORT_HOLDER:
-                self.result.wounds += 1
-                yield self._abort_task(inst)
+                yield self._abort_task(inst, "wound")
                 return
             if decision is Decision.ABORT_SELF:
-                self.result.deaths += 1
-                yield self._abort_task(w_inst)
+                yield self._abort_task(w_inst, "death")
 
     def _order_shared_task(self, w_inst: _Instance, eid: int, sid: int):
         """Re-run the policy for a shared waiter against the queued
@@ -1317,11 +1294,9 @@ class Simulator:
                 w_inst.timestamp, b_inst.timestamp
             )
             if decision is Decision.ABORT_HOLDER:
-                self.result.wounds += 1
-                yield self._abort_task(b_inst)
+                yield self._abort_task(b_inst, "wound")
             elif decision is Decision.ABORT_SELF:
-                self.result.deaths += 1
-                yield self._abort_task(w_inst)
+                yield self._abort_task(w_inst, "death")
                 return
 
     def _on_op_done(self, txn: int, node: int, attempt: int) -> None:
@@ -1408,18 +1383,28 @@ class Simulator:
                 ("op_done", inst.index, ready, inst.attempt),
             )
 
-    def _abort(self, inst: _Instance) -> None:
-        """Release everything, forget progress, schedule a restart."""
+    def _abort(self, inst: _Instance, cause: str) -> None:
+        """Release everything, forget progress, schedule a restart.
+
+        ``cause`` is a key of
+        :data:`~repro.sim.metrics.ABORT_CAUSE_COUNTERS`.
+        """
         if inst.status != _RUNNING:
             return  # saves the frame; _abort_task re-checks for cascades
-        self._drive_cascade(self._abort_task(inst))
+        self._drive_cascade(self._abort_task(inst, cause))
 
-    def _abort_task(self, inst: _Instance):
-        """Abort one transaction; frame of the cascade worklist."""
+    def _abort_task(self, inst: _Instance, cause: str):
+        """Abort one transaction; frame of the cascade worklist.
+
+        The one place ``aborts`` and the abort-cause counters change.
+        """
         if inst.status != _RUNNING:
             return  # an earlier frame of this cascade got it first
         inst.status = _ABORTED
-        self.result.aborts += 1
+        result = self.result
+        result.aborts += 1
+        for name in ABORT_CAUSE_COUNTERS[cause]:
+            setattr(result, name, getattr(result, name) + 1)
         txn = inst.index
         if inst.waiting:
             site_list = self._site_list
@@ -1470,8 +1455,7 @@ class Simulator:
             and inst.attempt == attempt
             and any(key[0] == eid for key in inst.waiting)
         ):
-            self.result.timeouts += 1
-            self._abort(inst)
+            self._abort(inst, "timeout")
 
     # ------------------------------------------------------------------
     # deadlock machinery
@@ -1559,8 +1543,7 @@ class Simulator:
         if cycle:
             instances = self._instances
             victim = max(cycle, key=lambda i: instances[i].timestamp)
-            self.result.detected += 1
-            self._abort(instances[victim])
+            self._abort(instances[victim], "detected")
         # Reschedule only while another scan could matter. New cycles
         # form only when other events run, so once every remaining
         # event sits beyond max_time (or the queue is empty), further

@@ -212,12 +212,6 @@ class Dag:
         what makes linear schedule replay free of it."""
         return self._pred
 
-    def ancestor_masks(self) -> list[int]:
-        """Per-node ancestor bitmasks (borrowed; do not mutate)."""
-        if self._anc is None:
-            self._ensure_closure()
-        return self._anc
-
     def precedes(self, u: int, v: int) -> bool:
         """Return True if ``u`` strictly precedes ``v`` (u ≺ v)."""
         if self._desc is None:
@@ -402,10 +396,6 @@ class Dag:
             for v in bits_of(self._desc[u]):
                 pairs.add((u, v))
         return frozenset(pairs)
-
-    def with_arcs(self, extra: Iterable[tuple[int, int]]) -> "Dag":
-        """Return a new Dag with ``extra`` arcs added (must stay acyclic)."""
-        return Dag(self.n, list(self.arcs) + list(extra))
 
     def restricted_to(self, mask: int) -> "Dag":
         """Induced sub-DAG on ``mask``, renumbered by increasing old id.

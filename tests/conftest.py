@@ -5,6 +5,8 @@ profile (derandomized, bounded examples) so a flaky shrink there can
 never mask a tier-1 failure; local runs default to ``dev``, which
 keeps hypothesis' usual randomized exploration (minus wall-clock
 deadlines, since simulation-heavy examples vary too much for them).
+The ``slow`` marker tags long-running tests (``-m "not slow"`` skips
+them).
 """
 
 import os
@@ -16,3 +18,7 @@ settings.register_profile(
 )
 settings.register_profile("dev", deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: a long-running test")

@@ -26,7 +26,9 @@ from repro.sim.observe.attribution import (
     SEGMENTS,
     analyze_trace,
     render_report,
+    replay_jsonl,
 )
+from repro.sim.observe.trace import load_trace
 from repro.sim.workload import WorkloadSpec, random_system
 
 
@@ -258,6 +260,23 @@ class TestOfflineReplay:
         assert engine.transactions.keys() == (
             sim.observe.attribution.engine.transactions.keys()
         )
+
+    def test_replay_needs_no_counter_records(self, tmp_path):
+        sim = attributed_run(
+            observe=ObserveConfig(
+                trace=True, trace_capacity=1 << 20, attribution=True
+            ),
+            commit_protocol="two-phase", failure_rate=0.01,
+            repair_time=8.0,
+        )
+        path = tmp_path / "trace.jsonl"
+        sim.observe.tracer.export_jsonl(str(path))
+        _, records = load_trace(str(path))
+        stripped = [r for r in records if r["kind"] != "counter"]
+        assert len(stripped) < len(records)
+        summary = sim.result.attribution
+        assert len(summary["aborts"]["by_cause"]) > 1
+        assert replay_jsonl(stripped).summary() == summary
 
     def test_chrome_trace_is_rejected(self, tmp_path):
         sim = attributed_run(

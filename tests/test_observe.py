@@ -169,6 +169,29 @@ class TestFlightRecorder:
         reasons = {d["reason"] for d in sim.observe.flight.dumps}
         assert "abort-cascade" in reasons
 
+    def test_site_crash_dump(self, tmp_path):
+        config = SimulationConfig(
+            seed=5, network_delay=0.5, failure_rate=0.02, repair_time=5.0,
+            observe=ObserveConfig(flight_recorder=str(tmp_path)),
+        )
+        sim = Simulator(contended_system(), "wound-wait", config)
+        result = sim.run()
+        assert result.crashes >= 1
+        dumps = [
+            d for d in sim.observe.flight.dumps if d["reason"] == "site-crash"
+        ]
+        assert dumps
+        for dump in dumps:
+            # Taken on the crash event itself, before the crash's
+            # aborts release anything.
+            with open(dump["events"]) as fh:
+                last = json.loads(fh.read().splitlines()[-1])
+            assert last["kind"] == "event"
+            assert last["event"] == "site_crash"
+            assert last["t"] == dump["time"]
+            with open(dump["waits_for"]) as fh:
+                assert fh.read().startswith("digraph")
+
     def test_dump_cap(self, tmp_path):
         from repro.sim.observe import FlightRecorder
 
@@ -199,6 +222,50 @@ class TestCustomSink:
         assert sink.kinds["commit"] == result.committed
         assert sink.kinds["abort"] == result.aborts
         assert sink.kinds["wait"] == result.waits
+
+
+class TestAbortProbe:
+    def test_abort_probes_carry_the_result_causes(self):
+        """Each abort probe names its cause, and the per-cause probe
+        counts partition ``aborts`` exactly as the result's counters
+        do (``unavailable`` counted apart from the other crashes)."""
+        from repro.sim.observe import ProbeSink
+
+        class Causes(ProbeSink):
+            def __init__(self):
+                self.arities = set()
+                self.counts = {}
+
+            def on_probe(self, kind, time, args):
+                if kind == "abort":
+                    self.arities.add(len(args))
+                    cause = args[-1]
+                    self.counts[cause] = self.counts.get(cause, 0) + 1
+
+        sink = Causes()
+        spec = WorkloadSpec(
+            n_entities=6, n_sites=3, entities_per_txn=(2, 4),
+            hotspot_skew=0.8, replication_factor=3, read_fraction=0.3,
+        )
+        config = SimulationConfig(
+            seed=5, network_delay=0.5, arrival_rate=0.5,
+            max_transactions=60, workload=spec, replica_protocol="quorum",
+            commit_protocol="two-phase", failure_rate=0.02,
+            repair_time=5.0,
+        )
+        sim = Simulator(TransactionSystem([]), "wound-wait", config)
+        hub = ObserverHub(sim, ObserveConfig(), extra_sinks=[sink])
+        hub.attach()
+        sim.observe = hub
+        result = sim.run()
+        assert sink.arities == {3}
+        expected = {
+            **result.aborts_by_cause,
+            "unavailable": result.unavailable_aborts,
+        }
+        expected["crash"] -= result.unavailable_aborts
+        assert sink.counts == {c: n for c, n in expected.items() if n}
+        assert {"wound", "crash", "unavailable"} <= set(sink.counts)
 
 
 class TestCli:
