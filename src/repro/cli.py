@@ -394,10 +394,87 @@ def _add_durability_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_run_args(
+    p: argparse.ArgumentParser, policies: list[str]
+) -> None:
+    """Run flags shared by simulate and sweep, durability included.
+
+    Choices come from the policy and commit-protocol registries, so a
+    registered name is accepted without a CLI edit.
+    """
+    from repro.sim.commit import protocol_names
+    from repro.sim.policies import policy_names
+
+    p.add_argument(
+        "--policies",
+        nargs="+",
+        default=policies,
+        choices=policy_names(),
+        help="contention policies to run",
+    )
+    p.add_argument(
+        "--commit",
+        nargs="+",
+        default=["instant"],
+        choices=protocol_names(),
+        help="atomic-commit protocol(s) to run each policy under",
+    )
+    p.add_argument("--max-time", type=float, default=100_000.0)
+    p.add_argument("--network-delay", type=float, default=0.0)
+    p.add_argument(
+        "--commit-timeout",
+        type=float,
+        default=6.0,
+        help="vote-collection/retry period of the 2PC protocols",
+    )
+    p.add_argument(
+        "--commit-fault-tolerance",
+        type=int,
+        default=1,
+        metavar="F",
+        help="failures Paxos Commit masks: 2F+1 acceptor sites per "
+        "round (F=0 degenerates to 2PC; other protocols ignore it)",
+    )
+    p.add_argument(
+        "--repair-time",
+        type=float,
+        default=10.0,
+        help="mean downtime of a crashed site",
+    )
+    p.add_argument(
+        "--catchup-time",
+        type=float,
+        default=6.0,
+        help="anti-entropy scan period of recovering rowa-available "
+        "sites (no reads served until a copy validates)",
+    )
+    _add_durability_args(p)
+
+
+def _run_config(args: argparse.Namespace, **overrides):
+    """The SimulationConfig of the shared run and open-system flags,
+    with ``overrides`` for the fields a subcommand sets itself."""
+    from repro.sim.runtime import SimulationConfig
+
+    return SimulationConfig(
+        max_time=args.max_time,
+        network_delay=args.network_delay,
+        commit_timeout=args.commit_timeout,
+        commit_fault_tolerance=args.commit_fault_tolerance,
+        repair_time=args.repair_time,
+        catchup_time=args.catchup_time,
+        max_transactions=args.max_transactions,
+        warmup_time=args.warmup,
+        workload_seed=args.workload_seed,
+        durability=_durability_config(args),
+        **overrides,
+    )
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.core.system import TransactionSystem
     from repro.sim.metrics import SimulationResult
-    from repro.sim.runtime import SimulationConfig, Simulator
+    from repro.sim.runtime import Simulator
 
     open_system = args.arrival_rate > 0
     if args.file is None and not open_system:
@@ -422,27 +499,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     parts.append(f"run{run}")
                 suffix = "-".join(parts)
                 observe = _observe_config(args, suffix)
-                config = SimulationConfig(
+                config = _run_config(
+                    args,
                     seed=args.seed + run,
-                    max_time=args.max_time,
-                    network_delay=args.network_delay,
                     commit_protocol=protocol,
-                    commit_timeout=args.commit_timeout,
-                    commit_fault_tolerance=args.commit_fault_tolerance,
                     failure_rate=args.failure_rate,
-                    repair_time=args.repair_time,
                     replica_protocol=args.replica_protocol,
-                    catchup_time=args.catchup_time,
                     arrival_rate=args.arrival_rate,
-                    max_transactions=args.max_transactions,
-                    warmup_time=args.warmup,
                     # The workload spec also carries the replication
                     # factor, so closed-batch (FILE) runs need it too.
                     workload=_workload_spec(args),
-                    workload_seed=args.workload_seed,
                     observe=observe,
                     network=_network_config(args),
-                    durability=_durability_config(args),
                 )
                 sim = Simulator(system, policy, config)
                 results.append(sim.run())
@@ -471,7 +539,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         write_json,
     )
     from repro.sim.observe import ObserveConfig
-    from repro.sim.runtime import SimulationConfig
     from repro.util.render import format_table
 
     observe = None
@@ -502,20 +569,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         partition_rates=tuple(args.partition_rates),
         seeds=tuple(args.seeds),
         workload=_workload_spec(args),
-        base=SimulationConfig(
-            network_delay=args.network_delay,
-            commit_timeout=args.commit_timeout,
-            commit_fault_tolerance=args.commit_fault_tolerance,
-            repair_time=args.repair_time,
-            catchup_time=args.catchup_time,
-            max_transactions=args.max_transactions,
-            warmup_time=args.warmup,
-            workload_seed=args.workload_seed,
-            max_time=args.max_time,
-            observe=observe,
-            network=network,
-            durability=_durability_config(args),
-        ),
+        # The cells take their workload from the spec: base.workload
+        # stays unset.
+        base=_run_config(args, observe=observe, network=network),
     )
     cells = spec.cells()
     mode = "serially" if args.serial else "in parallel"
@@ -802,6 +858,8 @@ def _add_open_system_args(
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.sim.replication import replica_control_names
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -859,11 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="transaction system to replay (optional when "
         "--arrival-rate generates the traffic)",
     )
-    p.add_argument(
-        "--policies",
-        nargs="+",
-        default=["blocking", "wound-wait", "wait-die", "detect"],
-    )
+    _add_run_args(p, ["blocking", "wound-wait", "wait-die", "detect"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--runs",
@@ -873,29 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(seeds SEED..SEED+N-1); observability outputs gain a -runK "
         "suffix so no replicate overwrites another",
     )
-    p.add_argument("--max-time", type=float, default=100_000.0)
-    p.add_argument("--network-delay", type=float, default=0.0)
-    p.add_argument(
-        "--commit",
-        nargs="+",
-        default=["instant"],
-        choices=["instant", "paxos-commit", "presumed-abort", "two-phase"],
-        help="atomic-commit protocol(s) to run each policy under",
-    )
-    p.add_argument(
-        "--commit-timeout",
-        type=float,
-        default=6.0,
-        help="vote-collection/retry period of the 2PC protocols",
-    )
-    p.add_argument(
-        "--commit-fault-tolerance",
-        type=int,
-        default=1,
-        metavar="F",
-        help="failures Paxos Commit masks: 2F+1 acceptor sites per "
-        "round (F=0 degenerates to 2PC; other protocols ignore it)",
-    )
     p.add_argument(
         "--failure-rate",
         type=float,
@@ -904,27 +935,13 @@ def build_parser() -> argparse.ArgumentParser:
         "fault injection",
     )
     p.add_argument(
-        "--repair-time",
-        type=float,
-        default=10.0,
-        help="mean downtime of a crashed site",
-    )
-    p.add_argument(
         "--replica-protocol",
         default="rowa",
-        choices=["rowa", "rowa-available", "quorum"],
+        choices=replica_control_names(),
         help="replica-control protocol routing reads/writes over the "
         "--replication copies",
     )
-    p.add_argument(
-        "--catchup-time",
-        type=float,
-        default=6.0,
-        help="anti-entropy scan period of recovering rowa-available "
-        "sites (no reads served until a copy validates)",
-    )
     _add_network_args(p)
-    _add_durability_args(p)
     _add_open_system_args(p)
     obs = p.add_argument_group(
         "observability",
@@ -1006,20 +1023,12 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a policy x protocol x rate x failure x seed grid",
     )
-    p.add_argument(
-        "--policies", nargs="+", default=["wound-wait", "wait-die"]
-    )
-    p.add_argument(
-        "--commit",
-        nargs="+",
-        default=["instant"],
-        choices=["instant", "paxos-commit", "presumed-abort", "two-phase"],
-    )
+    _add_run_args(p, ["wound-wait", "wait-die"])
     p.add_argument(
         "--replica-protocols",
         nargs="+",
         default=["rowa"],
-        choices=["rowa", "rowa-available", "quorum"],
+        choices=replica_control_names(),
         help="replica-control protocols as a grid axis",
     )
     p.add_argument(
@@ -1059,25 +1068,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[0, 1, 2],
         help="replicate seeds (each is one cell per grid point)",
     )
-    p.add_argument("--max-time", type=float, default=100_000.0)
-    p.add_argument("--network-delay", type=float, default=0.0)
-    p.add_argument("--commit-timeout", type=float, default=6.0)
-    p.add_argument(
-        "--commit-fault-tolerance",
-        type=int,
-        default=1,
-        metavar="F",
-        help="Paxos Commit acceptor-bank size is 2F+1 (other "
-        "protocols ignore it)",
-    )
-    p.add_argument("--repair-time", type=float, default=10.0)
-    p.add_argument(
-        "--catchup-time",
-        type=float,
-        default=6.0,
-        help="anti-entropy scan period of recovering rowa-available "
-        "sites",
-    )
     p.add_argument(
         "--processes",
         type=int,
@@ -1106,7 +1096,6 @@ def build_parser() -> argparse.ArgumentParser:
         "records (JSON/CSV) gain hotspot-share, wasted-work, and "
         "blame-graph columns",
     )
-    _add_durability_args(p)
     _add_open_system_args(
         p, max_transactions_default=200, single_rate=False
     )

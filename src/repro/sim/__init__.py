@@ -86,6 +86,7 @@ from repro.sim.policies import (
     WaitDiePolicy,
     WoundWaitPolicy,
     make_policy,
+    policy_names,
 )
 from repro.sim.runtime import (
     SimulationConfig,
@@ -140,6 +141,7 @@ __all__ = [
     "make_replica_control",
     "percentile",
     "percentiles",
+    "policy_names",
     "protocol_names",
     "random_schema",
     "replica_control_names",

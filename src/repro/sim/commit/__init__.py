@@ -23,7 +23,8 @@ operation finished" means for durability:
   At F=0 (``commit_fault_tolerance=0``) it is message-for-message 2PC.
 
 Protocols interact with the runtime only through its public surface
-(``register_handler``, ``schedule``, ``mark_prepared``,
+(``register_handler``, ``schedule``, ``transmit``, ``suspect_down``,
+``site_is_up``, ``transaction_sites``, ``mark_prepared``,
 ``finish_commit``, ``abort_from_commit``, ``release_retained``), so a
 new protocol is a self-contained module that registers its own event
 kinds — the core loop never learns them.

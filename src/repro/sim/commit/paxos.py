@@ -149,7 +149,7 @@ class PaxosCommit(TwoPhaseCommit):
         vote; decide once every participant is majority-registered."""
         round.learned.setdefault(site, set()).add(acceptor)
         if not round.decided and round.votes == round.participants:
-            self._decide_commit(txn, round)
+            self._decide(txn, round, "commit", self._apply_commit)
 
     def _on_learn(self, txn: int, acceptor: str, site: str,
                   attempt: int) -> None:
@@ -219,17 +219,13 @@ class PaxosCommit(TwoPhaseCommit):
                     ("cm_retry", txn, attempt, ballot),
                 )
                 return
-            dur = sim.durability
-            if dur is None:
-                self._takeover(txn, round, attempt, new_leader)
-                return
             # The new leader forces its ballot record before deposing
             # the old one; a crash mid-flush re-arms the old chain so
             # the next retry rotates again.
-            dur.force(
+            self._force(
                 new_leader,
                 ("ballot", txn, attempt, round.ballot + 1),
-                lambda: self._takeover_if_current(
+                lambda: self._takeover(
                     txn, round, attempt, ballot, new_leader
                 ),
                 lambda: sim.schedule(
@@ -243,13 +239,13 @@ class PaxosCommit(TwoPhaseCommit):
             # Every participant is majority-registered but no decision
             # stands — only reachable when a leader crash cancelled the
             # decision flush. Re-drive it.
-            self._decide_commit(txn, round)
+            self._decide(txn, round, "commit", self._apply_commit)
             return
         if any(sim.suspect_down(site) for site in missing):
             # A missing voter is suspected down: its unprepared
             # execution state is presumed lost (2PC's abort rule,
             # unchanged).
-            self._decide_abort(txn, round)
+            self._decide(txn, round, "abort", self._apply_abort)
             return
         # Transient loss: re-PREPARE the under-registered participants;
         # they re-vote to the full acceptor bank.
@@ -266,11 +262,12 @@ class PaxosCommit(TwoPhaseCommit):
             ("cm_retry", txn, round.attempt, round.ballot),
         )
 
-    def _takeover_if_current(
+    def _takeover(
         self, txn: int, round: _PaxosRound, attempt: int, ballot: int,
         new_leader: str,
     ) -> None:
-        """Ballot-flush continuation: depose if nothing superseded us."""
+        """Ballot-flush continuation: depose the old leader unless a
+        decision or a competing takeover superseded us."""
         sim = self.sim
         if (self._rounds.get(txn) is not round or round.decided
                 or round.deciding):
@@ -285,12 +282,6 @@ class PaxosCommit(TwoPhaseCommit):
                 ("cm_retry", txn, attempt, ballot),
             )
             return
-        self._takeover(txn, round, attempt, new_leader)
-
-    def _takeover(
-        self, txn: int, round: _PaxosRound, attempt: int, new_leader: str
-    ) -> None:
-        sim = self.sim
         round.ballot += 1
         round.coordinator = new_leader
         round.learned = {}
@@ -327,8 +318,8 @@ class PaxosCommit(TwoPhaseCommit):
     def _send_votes(self, txn: int, site: str, attempt: int,
                     round: _PaxosRound) -> None:
         """The participant's yes-vote goes to *every* acceptor, not
-        just the leader (the inherited ``_on_prepare`` — and, under a
-        durability model, the prepare-record force — is unchanged)."""
+        just the leader (the inherited ``_on_prepare`` and its
+        prepare-record force are unchanged)."""
         for acceptor in round.acceptors:
             self._send_acceptor_to(
                 site, acceptor,
@@ -343,19 +334,15 @@ class PaxosCommit(TwoPhaseCommit):
         sim = self.sim
         if not sim.site_is_up(acceptor):
             return  # vote lost at a down acceptor; a re-vote refills it
-        dur = sim.durability
-        if dur is None or site in round.accepted[acceptor]:
-            # No log — or a re-vote the acceptor already durably
-            # registered: register/relay without a second force.
+        if site in round.accepted[acceptor]:
+            # A re-vote the acceptor already durably registered:
+            # register/relay without a second force.
             self._register_vote(txn, round, acceptor, site, attempt)
             return
         # The acceptor forces its accept record before registering:
         # what phase 1 reads after a crash must be what was promised.
-        record = ("accept", txn, attempt, site)
-        if dur.flush_pending(acceptor, record):
-            return  # a duplicate vote's force is still in flight
-        dur.force(
-            acceptor, record,
+        self._force(
+            acceptor, ("accept", txn, attempt, site),
             lambda: self._accept_if_current(txn, acceptor, site, attempt),
         )
 

@@ -35,20 +35,21 @@ holder can no longer be wounded (the runtime downgrades ABORT_HOLDER
 to WAIT_PREPARED), which is sound because a decision always arrives in
 finite time.
 
-With a durability model attached (``config.durability``), the round
-additionally observes the protocol's classic force points
+The round observes the protocol's classic force points
 (:mod:`repro.sim.durability`): a participant forces a *prepare* record
 before VOTE-YES, the coordinator forces the *decision* record before
 the release fan-out, and a participant forces the decision before
-releasing and ACKing — each force costing ``flush_time`` on that
-site's timeline. Crash-recovered participants resolve their in-doubt
-transactions by inquiry: ``cm_inquire`` asks the coordinator, which
-answers with a decision (``cm_status``), re-PREPAREs a still-open
-round, or reports abort; a participant that lost its volatile state
-before its prepare record became durable answers PREPARE with
-``cm_refuse``, aborting the round. With the field unset (`sim.
-durability is None`) every handler takes its original branch — the
-pre-durability instruction stream, bit for bit.
+releasing and ACKing. Every force goes through one helper,
+:meth:`TwoPhaseCommit._force`: with a durability model attached
+(``config.durability``) it costs ``flush_time`` on that site's
+timeline; without one (``sim.durability is None``) it completes at
+once and costs nothing, so the same handlers run both models.
+Crash-recovered participants resolve their in-doubt transactions by
+inquiry (only a log leaves a participant in doubt): ``cm_inquire``
+asks the coordinator, which answers with a decision (``cm_status``),
+re-PREPAREs a still-open round, or reports abort; a participant that
+lost its volatile state before its prepare record became durable
+answers PREPARE with ``cm_refuse``, aborting the round.
 """
 
 from __future__ import annotations
@@ -76,9 +77,10 @@ class _Round:
         self.votes: set[str] = set()
         self.decided = False
         # True while the coordinator's decision record is being
-        # flushed (durability model only): the outcome is chosen but
-        # not yet durable, so no competing decision may start and no
-        # inquiry may be answered with the opposite verdict.
+        # flushed (it stays set only under a durability model): the
+        # outcome is chosen but not yet durable, so no competing
+        # decision may start and no inquiry may be answered with the
+        # opposite verdict.
         self.deciding = False
 
 
@@ -136,6 +138,35 @@ class TwoPhaseCommit(CommitProtocol):
         )
 
     # ------------------------------------------------------------------
+    # force points
+    # ------------------------------------------------------------------
+
+    def _force(self, site: str, record: tuple, cont, cancel=None) -> None:
+        """Force ``record`` onto ``site``'s log, then run ``cont``.
+
+        Without a durability model every force is instant and free:
+        ``cont`` runs at once. With one, a record already being flushed
+        at ``site`` (a duplicate message's force) is dropped, so only
+        the in-flight force's ``cont`` runs, and a crash of the site
+        mid-flush runs ``cancel`` instead of ``cont`` (see
+        :meth:`DurabilityManager.force`).
+        """
+        dur = self.sim.durability
+        if dur is None:
+            cont()
+        elif not dur.flush_pending(site, record):
+            dur.force(site, record, cont, cancel)
+
+    def _logged(self, site: str, kind: str, txn: int, attempt: int) -> bool:
+        """Whether ``site``'s log already holds this attempt's ``kind``
+        (``prepare`` or ``decision``) record; never without a log."""
+        dur = self.sim.durability
+        if dur is None:
+            return False
+        lookup = dur.has_prepare if kind == "prepare" else dur.has_decision
+        return lookup(site, txn, attempt)
+
+    # ------------------------------------------------------------------
     # coordinator side
     # ------------------------------------------------------------------
 
@@ -171,36 +202,40 @@ class TwoPhaseCommit(CommitProtocol):
             return  # vote lost; the retry loop re-collects it
         round.votes.add(site)
         if round.votes == round.participants:
-            self._decide_commit(txn, round)
+            self._decide(txn, round, "commit", self._apply_commit)
 
-    def _decide_commit(self, txn: int, round: _Round) -> None:
-        dur = self.sim.durability
-        if dur is None:
-            self._apply_commit(txn, round)
-            return
+    def _decide(self, txn: int, round: _Round, verdict: str, apply) -> None:
+        """Force the coordinator's ``verdict`` record, then ``apply`` it.
+
+        The record is forced before anything irreversible happens. A
+        coordinator crash mid-flush cancels it (the decision was never
+        taken); the cancel re-arms the retry chain, which re-drives the
+        decision after recovery — the retry branches that reach a
+        decide consume the chain, so without the re-arm a crash here
+        would orphan the round.
+        """
         if round.deciding or round.decided:
             return
-        # Force the commit record at the coordinator before anything
-        # irreversible happens. A coordinator crash mid-flush cancels
-        # it (the decision was never taken); the cancel re-arms the
-        # retry chain, which re-drives the decision after recovery —
-        # the retry branches that reach a decide consume the chain, so
-        # without the re-arm a crash here would orphan the round.
+        if verdict == "abort" and not self.notify_on_abort:
+            # Presumed-abort's whole optimisation: aborts are never
+            # logged (absent records read as ABORT), so no force.
+            apply(txn, round)
+            return
         round.deciding = True
 
-        def apply() -> None:
+        def done() -> None:
             round.deciding = False
             if not round.decided:
-                self._apply_commit(txn, round)
+                apply(txn, round)
 
         def cancel() -> None:
             round.deciding = False
             self._rearm_retry(txn, round)
 
-        dur.force(
+        self._force(
             round.coordinator,
-            ("decision", txn, round.attempt, "commit"),
-            apply, cancel,
+            ("decision", txn, round.attempt, verdict),
+            done, cancel,
         )
 
     def _apply_commit(self, txn: int, round: _Round) -> None:
@@ -215,33 +250,6 @@ class TwoPhaseCommit(CommitProtocol):
             # The participant's ACK is counted when it actually
             # processes the decision (see _on_release) — a down
             # participant has not acknowledged anything yet.
-
-    def _decide_abort(self, txn: int, round: _Round) -> None:
-        dur = self.sim.durability
-        if dur is None or not self.notify_on_abort:
-            # No durability model — or presumed-abort, whose whole
-            # optimisation is that aborts are never logged: absent
-            # records read as ABORT, so no force is needed.
-            self._apply_abort(txn, round)
-            return
-        if round.deciding or round.decided:
-            return
-        round.deciding = True
-
-        def apply() -> None:
-            round.deciding = False
-            if not round.decided:
-                self._apply_abort(txn, round)
-
-        def cancel() -> None:
-            round.deciding = False
-            self._rearm_retry(txn, round)
-
-        dur.force(
-            round.coordinator,
-            ("decision", txn, round.attempt, "abort"),
-            apply, cancel,
-        )
 
     def _rearm_retry(self, txn: int, round: _Round) -> None:
         """Restart the retry chain for a round whose decision flush was
@@ -286,16 +294,16 @@ class TwoPhaseCommit(CommitProtocol):
         if not missing:
             # Every vote is in but no decision stands — only reachable
             # when a coordinator crash cancelled the decision flush
-            # (without a durability model the decision fires at the
-            # last vote, synchronously). Re-drive it.
-            self._decide_commit(txn, round)
+            # (without a durability model the force completes at once,
+            # so the decision fires at the last vote). Re-drive it.
+            self._decide(txn, round, "commit", self._apply_commit)
             return
         if any(sim.suspect_down(site) for site in missing):
             # A missing voter is suspected down (crashed, or — under a
             # network model — silent past the suspicion timeout): its
             # unprepared execution state is presumed lost, so the round
             # cannot complete.
-            self._decide_abort(txn, round)
+            self._decide(txn, round, "abort", self._apply_abort)
             return
         # Transient loss: re-send PREPARE to the missing voters only.
         self._broadcast_prepare(txn, round, only_missing=True)
@@ -311,32 +319,10 @@ class TwoPhaseCommit(CommitProtocol):
         round = self._rounds.get(txn)
         if round is None or round.attempt != attempt or round.decided:
             return
-        if not self.sim.site_is_up(site):
-            return  # message lost: the participant is down
-        dur = self.sim.durability
-        if dur is None:
-            # Execution finished before the round began, so the vote
-            # is yes.
-            self._send_votes(txn, site, attempt, round)
-            return
-        self._prepare_with_log(txn, site, attempt, round)
-
-    def _send_votes(
-        self, txn: int, site: str, attempt: int, round: _Round
-    ) -> None:
-        """Send the participant's yes-vote (Paxos fans out instead)."""
-        self._send_to(
-            site, round.coordinator,
-            ("cm_vote", txn, site, attempt),
-        )
-
-    def _prepare_with_log(
-        self, txn: int, site: str, attempt: int, round: _Round
-    ) -> None:
-        """Durable-prepare path: force the prepare record, then vote."""
         sim = self.sim
-        dur = sim.durability
-        if dur.has_prepare(site, txn, attempt):
+        if not sim.site_is_up(site):
+            return  # message lost: the participant is down
+        if self._logged(site, "prepare", txn, attempt):
             # Already durably prepared (a retransmitted PREPARE, or a
             # recovered participant being re-asked): vote again
             # without a second force.
@@ -355,12 +341,20 @@ class TwoPhaseCommit(CommitProtocol):
                 ("cm_refuse", txn, site, attempt),
             )
             return
-        record = ("prepare", txn, attempt, locks)
-        if dur.flush_pending(site, record):
-            return  # an earlier PREPARE's force is still in flight
-        dur.force(
-            site, record,
+        # Execution finished before the round began, so the vote is
+        # yes once the prepare record is durable.
+        self._force(
+            site, ("prepare", txn, attempt, locks),
             lambda: self._vote_if_current(txn, site, attempt),
+        )
+
+    def _send_votes(
+        self, txn: int, site: str, attempt: int, round: _Round
+    ) -> None:
+        """Send the participant's yes-vote (Paxos fans out instead)."""
+        self._send_to(
+            site, round.coordinator,
+            ("cm_vote", txn, site, attempt),
         )
 
     def _vote_if_current(self, txn: int, site: str, attempt: int) -> None:
@@ -374,8 +368,7 @@ class TwoPhaseCommit(CommitProtocol):
 
     def _on_release(self, txn: int, site: str, attempt: int) -> None:
         sim = self.sim
-        inst = sim.instance(txn)
-        if inst.attempt != attempt:
+        if sim.instance(txn).attempt != attempt:
             return  # stale: the round aborted and the txn moved on
         if not sim.site_is_up(site):
             # Participant down: retransmit the decision until it
@@ -385,24 +378,20 @@ class TwoPhaseCommit(CommitProtocol):
                 ("cm_release", txn, site, attempt),
             )
             return
-        dur = sim.durability
-        if dur is None:
-            sim.release_retained(inst, site)
-            sim.result.commit_messages += 1  # the participant's ACK
-            if not inst.retained:
-                self._rounds.pop(txn, None)
-            return
-        # The participant forces the decision record before releasing
-        # and ACKing — the force that makes a later crash replay skip
-        # this transaction instead of re-entering doubt.
-        if dur.has_decision(site, txn, attempt):
+        self._release(txn, site, attempt)
+
+    def _release(self, txn: int, site: str, attempt: int) -> None:
+        """Force the commit decision at the participant, then release.
+
+        The force is what makes a later crash replay skip this
+        transaction instead of re-entering doubt; a decision already on
+        the site's log releases at once.
+        """
+        if self._logged(site, "decision", txn, attempt):
             self._apply_release(txn, site, attempt)
             return
-        record = ("decision", txn, attempt, "commit")
-        if dur.flush_pending(site, record):
-            return  # a duplicate decision's force is in flight
-        dur.force(
-            site, record,
+        self._force(
+            site, ("decision", txn, attempt, "commit"),
             lambda: self._apply_release(txn, site, attempt),
         )
 
@@ -416,9 +405,8 @@ class TwoPhaseCommit(CommitProtocol):
         sim.result.commit_messages += 1  # the participant's ACK
         if not inst.retained:
             self._rounds.pop(txn, None)
-        dur = sim.durability
-        if dur is not None:
-            dur.resolved(txn, site)
+        if sim.durability is not None:
+            sim.durability.resolved(txn, site)
 
     # ------------------------------------------------------------------
     # recovery inquiry (durability model only)
@@ -440,11 +428,7 @@ class TwoPhaseCommit(CommitProtocol):
         from the absence of a record; the message is the same.
         """
         sim = self.sim
-        round = self._rounds.get(txn)
-        coordinator = (
-            round.coordinator if round is not None
-            else sim.transaction_sites(txn)[0]
-        )
+        coordinator = self.inquiry_target(txn)
         if not sim.site_is_up(coordinator):
             return  # lost; the participant's requery re-asks
         inst = sim.instance(txn)
@@ -454,6 +438,7 @@ class TwoPhaseCommit(CommitProtocol):
                 ("cm_status", txn, site, attempt, "commit"),
             )
             return
+        round = self._rounds.get(txn)
         if (round is not None and round.attempt == attempt
                 and not round.decided):
             if round.deciding:
@@ -477,25 +462,13 @@ class TwoPhaseCommit(CommitProtocol):
         sim = self.sim
         if not sim.site_is_up(site):
             return  # lost; the requery re-asks after the next recovery
-        dur = sim.durability
-        if dur is None:
-            return  # pragma: no cover - only sent under a dur model
-        inst = sim.instance(txn)
-        if verdict == "commit" and inst.attempt == attempt:
-            if dur.has_decision(site, txn, attempt):
-                self._apply_release(txn, site, attempt)
-                return
-            record = ("decision", txn, attempt, "commit")
-            if dur.flush_pending(site, record):
-                return
-            dur.force(
-                site, record,
-                lambda: self._apply_release(txn, site, attempt),
-            )
+        if verdict == "commit" and sim.instance(txn).attempt == attempt:
+            self._release(txn, site, attempt)
             return
         # ABORT (or a stale attempt): presumption resolves the doubt;
-        # the global abort path owns any remaining lock state.
-        dur.resolved(txn, site)
+        # the global abort path owns any remaining lock state. Only a
+        # log's recovery replay inquires, so the model is attached.
+        sim.durability.resolved(txn, site)
 
     def _on_refuse(self, txn: int, site: str, attempt: int) -> None:
         """A participant refused PREPARE: its volatile state is gone."""
@@ -505,7 +478,7 @@ class TwoPhaseCommit(CommitProtocol):
             return
         if not self.sim.site_is_up(round.coordinator):
             return  # lost; the retry loop aborts on suspicion instead
-        self._decide_abort(txn, round)
+        self._decide(txn, round, "abort", self._apply_abort)
 
     # ------------------------------------------------------------------
     # runtime callbacks

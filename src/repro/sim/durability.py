@@ -7,8 +7,8 @@ makes that conceptual log real, following Gray & Lamport's *Consensus
 on Transaction Commit*: commit-protocol correctness is defined by what
 each site **forced to stable storage** before acting.
 
-Force points (installed by the commit protocols when
-``SimulationConfig.durability`` is set):
+Force points (the commit protocols force through one helper, which
+costs a flush only when ``SimulationConfig.durability`` is set):
 
 * a participant forces a ``prepare`` record — carrying exactly the
   lock entries it retains at that site — before sending VOTE-YES;
@@ -51,8 +51,8 @@ records (the round aborted and the transaction moved on) resolve
 instantly by presumption, with no physical re-acquisition.
 
 With ``SimulationConfig.durability`` unset nothing here exists: no
-events, no RNG draws, no log — the simulator runs the exact pre-PR
-instruction stream, pinned by the golden-digest matrix.
+events, no RNG draws, no log — every force completes at once, and the
+golden-digest matrix pins that run bit for bit.
 """
 
 from __future__ import annotations

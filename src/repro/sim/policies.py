@@ -37,6 +37,7 @@ __all__ = [
     "WaitDiePolicy",
     "WoundWaitPolicy",
     "make_policy",
+    "policy_names",
 ]
 
 
@@ -130,16 +131,20 @@ _POLICIES = {
 }
 
 
+def policy_names() -> list[str]:
+    """The registered policy names, sorted."""
+    return sorted(_POLICIES)
+
+
 def make_policy(name: str) -> Policy:
     """Instantiate a policy by name.
 
     Raises:
-        KeyError: for unknown names; valid ones are
-            ``blocking, wound-wait, wait-die, timeout, detect``.
+        KeyError: for unknown names (see :func:`policy_names`).
     """
     try:
         return _POLICIES[name]()
     except KeyError:
         raise KeyError(
-            f"unknown policy {name!r}; choose from {sorted(_POLICIES)}"
+            f"unknown policy {name!r}; choose from {policy_names()}"
         ) from None

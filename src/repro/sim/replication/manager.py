@@ -230,22 +230,16 @@ class ReplicaManager:
                 return sites
         return None
 
-    def cached_routes(
-        self,
-    ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-        """The all-up/no-staleness route tables computed at init."""
-        return self._const_read, self._const_write
-
     def constant_routes(
         self,
     ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-        """Per-entity ``(read, write)`` routes valid for failure-free
-        runs.
+        """Per-entity ``(read, write)`` routes valid while every site
+        is up and no copy is stale.
 
-        Without fault injection no site is ever down and no copy ever
-        goes stale, so every protocol's choice is a constant of the
-        schema — the runtime indexes these tables instead of calling
-        the protocol per request.
+        Without fault injection that is the whole run: every protocol's
+        choice is a constant of the schema, and :meth:`read_sids`/
+        :meth:`write_sids` index these tables instead of calling the
+        protocol per request.
         """
         control = self.control
         reads: list[tuple[int, ...]] = []

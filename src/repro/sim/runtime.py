@@ -13,7 +13,7 @@ Lock conflicts are resolved by the configured policy
 and restart from scratch after a delay, keeping their original
 timestamp (so wound-wait and wait-die are livelock-free).
 
-Four pluggable subsystems extend the core loop:
+Six pluggable subsystems extend the core loop:
 
 * atomic commit (:mod:`repro.sim.commit`) — decides when a transaction
   that finished executing is durably committed; the two-phase
@@ -34,7 +34,17 @@ Four pluggable subsystems extend the core loop:
   quorum, writes take *exclusive* locks on all/available/a quorum of
   replicas, and a Lock completes only when every chosen replica
   granted. At factor 1 every protocol degenerates to the single-copy
-  simulator bit for bit.
+  simulator bit for bit;
+* adversarial network (:mod:`repro.sim.network`) — carries every
+  cross-site message through :meth:`Simulator.transmit` with loss,
+  duplication, jitter and partition episodes over a retransmission
+  channel, and turns :meth:`Simulator.suspect_down` into timeout-based
+  failure suspicion;
+* durability (:mod:`repro.sim.durability`) — per-site write-ahead
+  logs behind the commit protocols' force points: a crash truncates a
+  site to its log (with optional disk faults) and recovery replays it,
+  resolving in-doubt participants by inquiry. Without it every force
+  completes at once.
 
 The subsystems register their own event kinds on the runtime's
 :class:`~repro.sim.events.HandlerRegistry`, so the main loop is a pure
@@ -392,10 +402,10 @@ class Simulator:
         )
         self._register_core_handlers()
         # Durable storage wires before the commit protocols: their
-        # handlers branch on `sim.durability` at event time (None = the
-        # exact pre-durability instruction stream), so the attribute
-        # must exist — and the flush/requery handlers be registered —
-        # by the time any protocol event runs.
+        # force points read `sim.durability` at event time (None: every
+        # force completes at once), so the attribute must exist — and
+        # the flush/requery handlers be registered — by the time any
+        # protocol event runs.
         self.durability: DurabilityManager | None = None
         if self.config.durability is not None:
             self.durability = DurabilityManager(self)
@@ -416,22 +426,6 @@ class Simulator:
         if self.config.network is not None and self.config.network.enabled:
             self.network = NetworkModel(self)
             self.network.attach()
-        # Without fault injection no site ever goes down and no replica
-        # ever goes stale, so every protocol's site choice is a
-        # constant of the schema — precompute the routing tables and
-        # skip the per-request protocol call. Partition episodes make
-        # reachability (and hence routing) time-dependent, so they
-        # disable the constant tables too.
-        self._route_read: list[tuple[int, ...]] | None = None
-        self._route_write: list[tuple[int, ...]] | None = None
-        if self.failures is None and (
-            self.network is None
-            or not self.network.config.partitions_possible
-        ):
-            # The manager computed these once already; share them.
-            self._route_read, self._route_write = (
-                self.replicas.cached_routes()
-            )
         if self.arrivals is not None:
             self.arrivals.attach()
         # Observability attaches last, once every subsystem wired its
@@ -913,23 +907,18 @@ class Simulator:
         eid = inst.eids[node]
         shared = eid in inst.shared_eids
         mode = SHARED if shared else EXCLUSIVE
-        if self._route_write is not None:
-            sites = (
-                self._route_read[eid] if shared else self._route_write[eid]
-            )
-        else:
-            sites = (
-                self.replicas.read_sids(eid, inst.home_sid)
-                if shared
-                else self.replicas.write_sids(eid, inst.home_sid)
-            )
-            if sites is None:
-                # No legal replica set right now: under rowa a single
-                # crashed replica blocks writes, under quorum a lost
-                # majority blocks everything. The access fails exactly
-                # like an issue to a down site.
-                self._abort(inst, "unavailable")
-                return
+        sites = (
+            self.replicas.read_sids(eid, inst.home_sid)
+            if shared
+            else self.replicas.write_sids(eid, inst.home_sid)
+        )
+        if sites is None:
+            # No legal replica set right now: under rowa a single
+            # crashed replica blocks writes, under quorum a lost
+            # majority blocks everything. The access fails exactly
+            # like an issue to a down site.
+            self._abort(inst, "unavailable")
+            return
         inst.lock_sites[eid] = sites
         if len(sites) == 1 and (
             self._net_delay <= 0 or sites[0] == self._primary_sid[eid]

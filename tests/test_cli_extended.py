@@ -157,3 +157,61 @@ class TestSweep:
         ]) == 0
         out = capsys.readouterr().out
         assert "5/5" in out
+
+
+class TestRunFlags:
+    """simulate and sweep share one declaration of their run flags."""
+
+    def test_unknown_names_are_usage_errors(self, capsys):
+        for argv in (
+            ["simulate", "--arrival-rate", "0.5", "--max-transactions",
+             "5", "--policies", "bogus"],
+            ["sweep", "--commit", "bogus"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "usage:" in err
+            assert "invalid choice: 'bogus'" in err
+
+    def test_registered_names_parse(self, monkeypatch):
+        from repro.cli import build_parser
+        from repro.sim.commit import base
+        from repro.sim.replication import protocols
+
+        monkeypatch.setitem(
+            base._PROTOCOLS, "custom-commit", base._PROTOCOLS["two-phase"]
+        )
+        monkeypatch.setitem(
+            protocols._PROTOCOLS, "custom-replica",
+            protocols._PROTOCOLS["rowa"],
+        )
+        args = build_parser().parse_args([
+            "sweep", "--commit", "custom-commit",
+            "--replica-protocols", "custom-replica",
+        ])
+        assert args.commit == ["custom-commit"]
+        assert args.replica_protocols == ["custom-replica"]
+
+    def test_sweep_base_carries_the_run_flags(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "sweep.json"
+        assert main([
+            "sweep", "--policies", "wound-wait", "--commit", "two-phase",
+            "--arrival-rates", "0.5", "--seeds", "0",
+            "--max-transactions", "10", "--network-delay", "0.5",
+            "--flush-time", "0.3", "--tail-loss-rate", "0.1",
+            "--commit-timeout", "3", "--catchup-time", "2",
+            "--serial", "--json", str(path),
+        ]) == 0
+        base = json.loads(path.read_text())["spec"]["base"]
+        assert base["durability"]["flush_time"] == 0.3
+        assert base["durability"]["tail_loss_rate"] == 0.1
+        assert base["commit_timeout"] == 3.0
+        assert base["catchup_time"] == 2.0
+        assert base["network_delay"] == 0.5
+        assert base["max_transactions"] == 10
+        # The cells take their workload from the spec, not from base.
+        assert base["workload"] is None

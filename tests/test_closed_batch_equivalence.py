@@ -20,6 +20,9 @@ retransmission; every rate-0 cell is untouched from the seed capture.
 Paxos Commit degeneracy contract: at ``commit_fault_tolerance=0`` the
 single acceptor is co-located with the coordinator, so every cell must
 be digest-identical to classic 2PC (only the protocol name differs).
+``test_paxos_f1_matches_the_goldens`` pins Paxos Commit at its default
+F=1 (three acceptors, coordinator takeover) over the same cells without
+a durability model, digests extended by the acceptor-bank ledger.
 """
 
 import hashlib
@@ -56,8 +59,8 @@ FIELDS = (
 )
 
 
-def digest(result) -> str:
-    blob = ";".join(f"{f}={getattr(result, f)!r}" for f in FIELDS)
+def digest(result, fields=FIELDS) -> str:
+    blob = ";".join(f"{f}={getattr(result, f)!r}" for f in fields)
     return hashlib.md5(blob.encode()).hexdigest()[:12]
 
 
@@ -185,7 +188,56 @@ GOLDEN = {
 }
 
 
-def _cell_result(wseed, policy, protocol, rate, seed, replication=None):
+PAXOS_FIELDS = FIELDS + ("acceptor_messages", "coordinator_takeovers")
+
+# Paxos Commit at F=1, keyed (workload seed, policy, failure rate, sim
+# seed); captured before the commit protocols' force points shared one
+# helper. One cell, (11, 'wait-die', 0.03, 5), takes a round over.
+GOLDEN_PAXOS_F1 = {
+    (3, 'blocking', 0.0, 0): 'ab16f8709242',
+    (3, 'blocking', 0.0, 5): 'bbc385320be1',
+    (3, 'blocking', 0.03, 0): 'f3e6fe66e703',
+    (3, 'blocking', 0.03, 5): 'dab5922694aa',
+    (3, 'wound-wait', 0.0, 0): '56117686982a',
+    (3, 'wound-wait', 0.0, 5): '2158fff890b3',
+    (3, 'wound-wait', 0.03, 0): 'cf5da5aadf9c',
+    (3, 'wound-wait', 0.03, 5): 'ce434a50d4d2',
+    (3, 'wait-die', 0.0, 0): '100fc0d13fb1',
+    (3, 'wait-die', 0.0, 5): '970bc84f0402',
+    (3, 'wait-die', 0.03, 0): '559bf5271ee7',
+    (3, 'wait-die', 0.03, 5): 'e0340755284e',
+    (3, 'timeout', 0.0, 0): 'd0e3f33d9e3e',
+    (3, 'timeout', 0.0, 5): 'c6b0a0fb086b',
+    (3, 'timeout', 0.03, 0): 'a2dd7b59ab01',
+    (3, 'timeout', 0.03, 5): '9f38c9410095',
+    (3, 'detect', 0.0, 0): '6fb3ab5a8e1b',
+    (3, 'detect', 0.0, 5): '49b00ba7599e',
+    (3, 'detect', 0.03, 0): 'f81b616da440',
+    (3, 'detect', 0.03, 5): '47c1b296058a',
+    (11, 'blocking', 0.0, 0): '287638704052',
+    (11, 'blocking', 0.0, 5): '5609ceea167e',
+    (11, 'blocking', 0.03, 0): '9f67fec83833',
+    (11, 'blocking', 0.03, 5): 'f51b33e79ed3',
+    (11, 'wound-wait', 0.0, 0): 'bea849896095',
+    (11, 'wound-wait', 0.0, 5): 'ebeea70183b6',
+    (11, 'wound-wait', 0.03, 0): '7221b6b9aa16',
+    (11, 'wound-wait', 0.03, 5): '502b782770e3',
+    (11, 'wait-die', 0.0, 0): '14893c4d929f',
+    (11, 'wait-die', 0.0, 5): '13c1ac8d5122',
+    (11, 'wait-die', 0.03, 0): '0b00402dfc09',
+    (11, 'wait-die', 0.03, 5): '1391400fbdcf',
+    (11, 'timeout', 0.0, 0): '803a029d7088',
+    (11, 'timeout', 0.0, 5): 'df72c75255ca',
+    (11, 'timeout', 0.03, 0): 'e700433fcbd4',
+    (11, 'timeout', 0.03, 5): '4f9690a6450c',
+    (11, 'detect', 0.0, 0): '3f44a5af2a63',
+    (11, 'detect', 0.0, 5): '95f545ff3aa8',
+    (11, 'detect', 0.03, 0): '186f05801015',
+    (11, 'detect', 0.03, 5): 'b75b1b441695',
+}
+
+
+def _cell_result(wseed, policy, protocol, rate, seed, overrides=None):
     system = random_system(random.Random(wseed), SPEC)
     config = SimulationConfig(
         seed=seed,
@@ -193,7 +245,7 @@ def _cell_result(wseed, policy, protocol, rate, seed, replication=None):
         commit_protocol=protocol,
         failure_rate=rate,
         repair_time=8.0,
-        **(replication or {}),
+        **(overrides or {}),
     )
     return simulate(system, policy, config)
 
@@ -303,10 +355,35 @@ def test_paxos_f0_degenerates_to_two_phase():
     assert mismatches == []
 
 
+def test_paxos_f1_matches_the_goldens():
+    """Paxos Commit at F=1 under crashes without a durability model.
+
+    The acceptor bank, vote relays and leader takeover all run, and
+    their forces (accept and ballot records) complete at once; at least
+    one cell exercises a takeover.
+    """
+    mismatches = []
+    takeovers = 0
+    for (wseed, policy, rate, seed), expected in GOLDEN_PAXOS_F1.items():
+        result = _cell_result(
+            wseed, policy, "paxos-commit", rate, seed,
+            {"commit_fault_tolerance": 1},
+        )
+        takeovers += result.coordinator_takeovers
+        if digest(result, PAXOS_FIELDS) != expected:
+            mismatches.append((wseed, policy, rate, seed))
+    assert mismatches == []
+    assert takeovers >= 1
+
+
 def test_goldens_cover_the_whole_matrix():
     assert len(GOLDEN) == (
         len(WORKLOAD_SEEDS) * len(POLICIES) * len(PROTOCOLS)
         * len(FAILURE_RATES) * len(SIM_SEEDS)
+    )
+    assert len(GOLDEN_PAXOS_F1) == (
+        len(WORKLOAD_SEEDS) * len(POLICIES) * len(FAILURE_RATES)
+        * len(SIM_SEEDS)
     )
 
 

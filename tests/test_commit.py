@@ -267,7 +267,7 @@ class TestPreparedWindow:
 
 class TestAckAccounting:
     def test_ack_counted_at_delivery_not_at_decision(self):
-        """The regression: ``_decide_commit`` used to charge every
+        """The regression: the commit decision used to charge every
         participant's ACK the instant the decision was taken, crediting
         acknowledgements from a participant that was *down* and had not
         even received the decision. The ACK now lands when the
@@ -291,7 +291,7 @@ class TestAckAccounting:
         sim.mark_prepared(inst)
         sim._mark_site("s2", False)  # participant down at decision time
 
-        proto._decide_commit(0, round)
+        proto._decide(0, round, "commit", proto._apply_commit)
         # Exactly the two RELEASE sends — no ACK from anyone yet, and
         # in particular none from the crashed s2.
         assert sim.result.commit_messages == 2
