@@ -54,6 +54,12 @@ def _load_system(path: str):
         return parse_system(handle.read())
 
 
+def _usage_error(command: str, message: object) -> int:
+    """Report a bad argument on stderr; returns the usage exit code."""
+    print(f"{command}: {message}", file=sys.stderr)
+    return 2
+
+
 def _is_trace_artifact(path: str) -> bool:
     """True when the file's first non-blank line is a JSON object.
 
@@ -84,8 +90,7 @@ def _analyze_trace(args: argparse.Namespace) -> int:
     try:
         summary, engine = analyze_trace(args.file)
     except ValueError as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error("analyze", exc)
     print(render_report(summary, top=args.top))
     if args.dot:
         from repro.io.dot import blame_graph_to_dot
@@ -478,11 +483,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     open_system = args.arrival_rate > 0
     if args.file is None and not open_system:
-        print(
-            "simulate: FILE is required unless --arrival-rate is given",
-            file=sys.stderr,
+        return _usage_error(
+            "simulate", "FILE is required unless --arrival-rate is given"
         )
-        return 2
+    if args.metrics_window <= 0:
+        return _usage_error("simulate", "--metrics-window must be > 0")
     system = (
         _load_system(args.file) if args.file else TransactionSystem([])
     )
@@ -498,23 +503,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 if runs > 1:
                     parts.append(f"run{run}")
                 suffix = "-".join(parts)
-                observe = _observe_config(args, suffix)
-                config = _run_config(
-                    args,
-                    seed=args.seed + run,
-                    commit_protocol=protocol,
-                    failure_rate=args.failure_rate,
-                    replica_protocol=args.replica_protocol,
-                    arrival_rate=args.arrival_rate,
-                    # The workload spec also carries the replication
-                    # factor, so closed-batch (FILE) runs need it too.
-                    workload=_workload_spec(args),
-                    observe=observe,
-                    network=_network_config(args),
-                )
+                try:
+                    config = _run_config(
+                        args,
+                        seed=args.seed + run,
+                        commit_protocol=protocol,
+                        failure_rate=args.failure_rate,
+                        replica_protocol=args.replica_protocol,
+                        arrival_rate=args.arrival_rate,
+                        # The workload spec also carries the
+                        # replication factor, so closed-batch (FILE)
+                        # runs need it too.
+                        workload=_workload_spec(args),
+                        observe=_observe_config(args, suffix),
+                        network=_network_config(args),
+                    )
+                except ValueError as exc:  # a config class's range check
+                    return _usage_error("simulate", exc)
                 sim = Simulator(system, policy, config)
                 results.append(sim.run())
-                if observe is not None:
+                if sim.observe is not None:
                     _export_observability(sim, args, suffix)
     if open_system:
         print(SimulationResult.open_summary_table(results))
@@ -541,39 +549,44 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.sim.observe import ObserveConfig
     from repro.util.render import format_table
 
-    observe = None
-    if args.cell_metrics > 0 or args.cell_attribution:
-        observe = ObserveConfig(
-            metrics_window=args.cell_metrics,
-            attribution=args.cell_attribution,
-        )
     chaos = any(r > 0 for r in args.loss_rates) or any(
         r > 0 for r in args.partition_rates
     )
-    network = None
-    if chaos:
-        from repro.sim.network import NetworkConfig
+    try:
+        observe = None
+        if args.cell_metrics > 0 or args.cell_attribution:
+            observe = ObserveConfig(
+                metrics_window=args.cell_metrics,
+                attribution=args.cell_attribution,
+            )
+        network = None
+        if chaos:
+            from repro.sim.network import NetworkConfig
 
-        # The template every chaos cell derives from (its loss and
-        # partition rates are overridden per cell).
-        network = NetworkConfig(
-            partition_duration=args.partition_duration
+            # The template every chaos cell derives from (its loss and
+            # partition rates are overridden per cell).
+            network = NetworkConfig(
+                partition_duration=args.partition_duration
+            )
+        spec = SweepSpec(
+            policies=tuple(args.policies),
+            protocols=tuple(args.commit),
+            replica_protocols=tuple(args.replica_protocols),
+            arrival_rates=tuple(args.arrival_rates),
+            failure_rates=tuple(args.failure_rates),
+            loss_rates=tuple(args.loss_rates),
+            partition_rates=tuple(args.partition_rates),
+            seeds=tuple(args.seeds),
+            workload=_workload_spec(args),
+            # The cells take their workload from the spec:
+            # base.workload stays unset.
+            base=_run_config(args, observe=observe, network=network),
         )
-    spec = SweepSpec(
-        policies=tuple(args.policies),
-        protocols=tuple(args.commit),
-        replica_protocols=tuple(args.replica_protocols),
-        arrival_rates=tuple(args.arrival_rates),
-        failure_rates=tuple(args.failure_rates),
-        loss_rates=tuple(args.loss_rates),
-        partition_rates=tuple(args.partition_rates),
-        seeds=tuple(args.seeds),
-        workload=_workload_spec(args),
-        # The cells take their workload from the spec: base.workload
-        # stays unset.
-        base=_run_config(args, observe=observe, network=network),
-    )
-    cells = spec.cells()
+        cells = spec.cells()
+        for cell in cells:
+            spec.cell_config(cell)  # builds each cell's network config
+    except ValueError as exc:  # a config class's range check
+        return _usage_error("sweep", exc)
     mode = "serially" if args.serial else "in parallel"
     print(
         f"sweep: {len(cells)} cells "
@@ -945,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_open_system_args(p)
     obs = p.add_argument_group(
         "observability",
-        "zero-cost when unused: no flag attaches no probes",
+        "off unless asked for: without these flags no probe attaches",
     )
     obs.add_argument(
         "--trace-out",

@@ -46,7 +46,7 @@ An observability layer (:mod:`repro.sim.observe`, enabled through
 stream for structured event traces (JSONL / Chrome ``trace_event``),
 windowed simulated-time metrics attached to the result, and a flight
 recorder that dumps the recent past on deadlocks, crashes, and abort
-cascades — at zero cost when disabled.
+cascades — with no per-event cost when disabled.
 """
 
 from repro.sim.arrivals import ArrivalProcess, OpenSystem

@@ -24,7 +24,7 @@ operation finished" means for durability:
 
 Protocols interact with the runtime only through its public surface
 (``register_handler``, ``schedule``, ``transmit``, ``suspect_down``,
-``site_is_up``, ``transaction_sites``, ``mark_prepared``,
+``count``, ``site_is_up``, ``transaction_sites``, ``mark_prepared``,
 ``finish_commit``, ``abort_from_commit``, ``release_retained``), so a
 new protocol is a self-contained module that registers its own event
 kinds — the core loop never learns them.

@@ -299,7 +299,7 @@ class PaxosCommit(TwoPhaseCommit):
                 # Query + response modelled as one round trip; under
                 # a network model the pair rides the channel as a
                 # single retransmitted unit.
-                sim.result.commit_messages += 2
+                sim.count("commit_messages", 2)
                 sim.result.acceptor_messages += 2
                 sim.transmit(
                     sim.site_id(new_leader), sim.site_id(acceptor),

@@ -119,7 +119,7 @@ class TwoPhaseCommit(CommitProtocol):
 
     def _send(self, delay: float, payload: tuple) -> None:
         """Count one protocol message and schedule its delivery."""
-        self.sim.result.commit_messages += 1
+        self.sim.count("commit_messages")
         self.sim.schedule(delay, payload)
 
     def _send_to(self, src: str, dst: str, payload: tuple) -> None:
@@ -131,7 +131,7 @@ class TwoPhaseCommit(CommitProtocol):
         scheduled delivery, bit-identical to :meth:`_send`.
         """
         sim = self.sim
-        sim.result.commit_messages += 1
+        sim.count("commit_messages")
         sim.transmit(
             sim.site_id(src), sim.site_id(dst),
             self._delay(src, dst), payload,
@@ -267,7 +267,7 @@ class TwoPhaseCommit(CommitProtocol):
         round.decided = True
         if self.notify_on_abort:
             # ABORT to every participant that voted, plus their acks.
-            sim.result.commit_messages += 2 * len(round.votes)
+            sim.count("commit_messages", 2 * len(round.votes))
         del self._rounds[txn]
         sim.abort_from_commit(sim.instance(txn))
 
@@ -402,7 +402,7 @@ class TwoPhaseCommit(CommitProtocol):
         if inst.attempt != attempt:
             return  # the round aborted while the record flushed
         sim.release_retained(inst, site)
-        sim.result.commit_messages += 1  # the participant's ACK
+        sim.count("commit_messages")  # the participant's ACK
         if not inst.retained:
             self._rounds.pop(txn, None)
         if sim.durability is not None:

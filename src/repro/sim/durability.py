@@ -188,7 +188,7 @@ class DurabilityManager:
         self._pending_keys.discard((sid,) + record)
         self._logs[sid].append(record)
         self._index.add((sid, record[0], record[1], record[2]))
-        self.sim.result.log_forces += 1
+        self.sim.count("log_forces")
         cont()
 
     def flush_pending(self, site: str, record: tuple) -> bool:
@@ -222,7 +222,7 @@ class DurabilityManager:
         key = (txn, self.sim.site_id(site))
         if key in self._in_doubt:
             self._in_doubt.discard(key)
-            self.sim.result.in_doubt_resolved += 1
+            self.sim.count("in_doubt_resolved")
 
     def in_doubt(self, site: str | None = None) -> set:
         """The unresolved in-doubt ``(txn, sid)`` pairs."""
@@ -237,7 +237,7 @@ class DurabilityManager:
         if target is None:
             return  # no protocol round state to ask (instant commit)
         delay = 0.0 if target == site else sim.config.network_delay
-        sim.result.commit_messages += 1
+        sim.count("commit_messages")
         sim.transmit(
             sim.site_id(site), sim.site_id(target), delay,
             ("cm_inquire", txn, site, attempt),
@@ -302,15 +302,15 @@ class DurabilityManager:
             rng = self._rng
             if rng.random() < config.amnesia_rate:
                 del log[:]
-                sim.result.amnesia_wipes += 1
+                sim.count("amnesia_wipes")
                 sim.commit.on_durability_wipe(site)
             else:
                 if rng.random() < config.torn_write_rate:
                     log.pop()
-                    sim.result.torn_writes += 1
+                    sim.count("torn_writes")
                 if log and rng.random() < config.tail_loss_rate:
                     log.pop()
-                    sim.result.tail_losses += 1
+                    sim.count("tail_losses")
             self._rebuild_index(sid)
         # 3. Truncate volatile lock state to the (empty) table: the
         # crash already aborted every RUNNING transaction, so what
@@ -389,7 +389,7 @@ class DurabilityManager:
         log = self._logs[sid]
         if not log:
             return  # nothing durable: rejoin as a fresh replica
-        sim.result.log_replays += 1
+        sim.count("log_replays")
         implied = self.log_implied_locks(site)
         prepared, decided = self._analyze(sid)
         table = sim.lock_tables()[site]
@@ -408,7 +408,7 @@ class DurabilityManager:
                 # there is nothing to hold and nobody to ask.
                 presumed += 1
                 self.resolved(txn, site)  # no-op unless re-crashed
-                sim.result.in_doubt_resolved += 1
+                sim.count("in_doubt_resolved")
                 continue
             for eid, held in locks:
                 if held != sid or (eid, held) in inst.retained:

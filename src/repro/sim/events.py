@@ -68,8 +68,10 @@ class HandlerRegistry:
     once, so two subsystems cannot silently shadow each other's events.
     """
 
-    # No __slots__: one instance per run, and instrumentation (the
-    # waits-for invariant suite) shadows ``dispatch`` per instance.
+    # No __slots__: one instance per run, and instrumentation shadows
+    # ``dispatch`` per instance — the observer hub, the benchmark's
+    # span recorder (perfbench/recorder.py) and the waits-for
+    # invariant suite.
 
     def __init__(self) -> None:
         self._handlers: dict[str, Callable[..., None]] = {}

@@ -68,14 +68,6 @@ class FailureInjector:
         for site in sim.site_names():
             self._schedule_crash(site)
 
-    def site_up(self, site: str) -> bool:
-        """Whether ``site`` is currently up.
-
-        The simulator's interned flag array is the single store of
-        up/down truth; the injector only drives its transitions.
-        """
-        return self.sim.site_is_up(site)
-
     def mark_down(self, site: str) -> None:
         """Record ``site`` as crashed (state only, no abort cascade)."""
         self.sim._mark_site(site, False)
@@ -107,7 +99,7 @@ class FailureInjector:
         # imposed at recovery, not here).
         sim.replicas.on_crash(site)
         self.mark_down(site)
-        sim.result.crashes += 1
+        sim.count("crashes")
         sim.crash_site(site)
         if sim.durability is not None:
             # Truncate the survivors' state to the site's log: cancel

@@ -1,14 +1,15 @@
 """The network chaos model: loss, duplication, jitter, partitions.
 
-:class:`NetworkModel` attaches by *interposition only*, exactly like
-the observability layer: it shadows :meth:`Simulator.transmit` (the
-cross-site message seam) and :meth:`Simulator.suspect_down` (the
-failure-suspicion seam) on the simulator instance and registers its
-own event kinds — ``net_deliver``/``net_redeliver`` (message copies in
-flight), ``net_ack``, ``net_retransmit`` (the backoff timer chain),
-and ``net_partition_start``/``net_partition_stop`` (episode edges).
-With ``SimulationConfig.network`` unset nothing attaches and the
-simulator runs the exact perfect-network instruction stream.
+:class:`NetworkModel` is what the simulator's two network seams call
+once it is attached: :meth:`Simulator.transmit` hands every
+cross-site message to its retransmission channel, and
+:meth:`Simulator.suspect_down` asks :meth:`NetworkModel.suspect_down`.
+Attaching registers the model's own event kinds —
+``net_deliver``/``net_redeliver`` (message copies in flight),
+``net_ack``, ``net_retransmit`` (the backoff timer chain), and
+``net_partition_start``/``net_partition_stop`` (episode edges) — and
+patches nothing. With ``SimulationConfig.network`` unset nothing
+attaches and both seams keep their perfect-network bodies.
 
 Chaos draws come from a dedicated ``random.Random`` stream derived
 from the run seed (the same independent-stream pattern the
@@ -140,7 +141,7 @@ class NetworkConfig:
 
 
 class NetworkModel:
-    """Chaos interposition on the simulator's message seam."""
+    """Chaos behind the simulator's message and suspicion seams."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -171,11 +172,6 @@ class NetworkModel:
         sim.register_handler("net_retransmit", channel.on_retransmit)
         sim.register_handler("net_partition_start", self._on_partition_start)
         sim.register_handler("net_partition_stop", self._on_partition_stop)
-        # Interpose on the message and suspicion seams. ``schedule`` is
-        # looked up at call time inside both, so the ObserverHub's
-        # sched-probe shadow (attached later) still sees every enqueue.
-        sim.transmit = self._transmit
-        sim.suspect_down = self._suspect_down
         n_sites = len(sim.site_names())
         for i, (start, duration, side) in enumerate(
             self.config.partition_schedule
@@ -202,19 +198,12 @@ class NetworkModel:
             )
 
     # ------------------------------------------------------------------
-    # the message seam
+    # failure suspicion
     # ------------------------------------------------------------------
 
-    def _transmit(self, src, dst, delay, payload) -> None:
-        if src == dst:
-            # Intra-site messages never touch the wire: chaos-free and
-            # unsequenced, exactly as in the lossless model (this keeps
-            # paxos F=0 degenerate to 2PC and local sends free).
-            self.sim.schedule(delay, payload)
-            return
-        self.channel.send(src, dst, delay, payload)
-
-    def _suspect_down(self, site: str) -> bool:
+    def suspect_down(self, site: str) -> bool:
+        """Whether ``site`` is crashed or its oldest unacked message is
+        older than ``suspect_timeout``."""
         sim = self.sim
         if not sim.site_is_up(site):
             return True  # genuinely crashed sites stay suspected
@@ -279,7 +268,7 @@ class NetworkModel:
         sim.replicas.on_partition_cut()
         self.cut = side
         self._cut_since = sim._now
-        sim.result.partitions += 1
+        sim.count("partitions")
         sim.schedule(duration, ("net_partition_stop", idx))
 
     def _on_partition_stop(self, idx: int) -> None:

@@ -22,7 +22,11 @@ when a fresh copy dispatches its payload, ``net_duplicates`` when a
 copy is suppressed, and ``net_inflight`` up on enqueue / down on
 arrival (its end-of-run value is the copies still in the queue). Acks
 are control traffic outside the data ledger and are counted separately
-(``net_acks``); ``net_retransmits`` counts timer-driven resends.
+(``net_acks``); ``net_retransmits`` counts timer-driven resends. Every
+counter but ``net_inflight`` goes through :meth:`Simulator.count`, so
+a traced run's counter stream replays the ledger history;
+``net_inflight`` follows from the others and is bumped inline, which
+keeps its churn out of the stream.
 
 Retransmission chains die on their own once the run has no
 uncommitted work and no retained locks left — the same drain condition
@@ -31,9 +35,9 @@ unreachable site cannot keep the event queue alive forever.
 
 The channel also feeds failure suspicion: per destination it tracks
 the send time of the oldest unacked message, and
-:meth:`NetworkModel._suspect_down` suspects a site once that age
+:meth:`NetworkModel.suspect_down` suspects a site once that age
 exceeds ``suspect_timeout`` — the timeout-based knowledge a real
-protocol has, replacing the omniscient ``site_up()`` checks.
+protocol has, replacing the omniscient ``site_is_up()`` checks.
 """
 
 from __future__ import annotations
@@ -97,9 +101,8 @@ class RetransmitChannel:
             seq, src, dst, delay, payload, sim._now
         )
         self._unacked_to.setdefault(dst, {})[seq] = sim._now
-        result = sim.result
-        result.net_sent += 1
-        result.net_inflight += 1
+        sim.count("net_sent")
+        sim.result.net_inflight += 1
         sim.schedule(
             delay + self.model.jitter_draw(),
             ("net_deliver", seq, src, dst, payload),
@@ -122,23 +125,23 @@ class RetransmitChannel:
         result.net_inflight -= 1
         model = self.model
         if model.cut_between(src, dst) or model.loss_draw():
-            result.net_dropped += 1
+            sim.count("net_dropped")
             return
         if not sim.site_id_is_up(dst):
             # Arrived at a crashed site: lost with it. The sender keeps
             # retransmitting and delivers after the repair.
-            result.net_dropped += 1
+            sim.count("net_dropped")
             return
         if seq in self.delivered:
-            result.net_duplicates += 1
+            sim.count("net_duplicates")
             self._send_ack(seq, src, dst)  # the earlier ack may be lost
             return
         self.delivered.add(seq)
-        result.net_delivered += 1
+        sim.count("net_delivered")
         if model.dup_draw():
             # The network spontaneously duplicates the message; the
             # copy arrives after its own jitter and is suppressed above.
-            result.net_sent += 1
+            sim.count("net_sent")
             result.net_inflight += 1
             sim.schedule(
                 model.jitter_draw(),
@@ -157,7 +160,7 @@ class RetransmitChannel:
 
     def _send_ack(self, seq, src, dst) -> None:
         sim = self.sim
-        sim.result.net_acks += 1
+        sim.count("net_acks")
         sim.schedule(
             sim.config.network_delay + self.model.jitter_draw(),
             ("net_ack", seq, dst, src),
@@ -192,10 +195,9 @@ class RetransmitChannel:
             if pending is not None:
                 pending.pop(seq, None)
             return
-        result = sim.result
-        result.net_retransmits += 1
-        result.net_sent += 1
-        result.net_inflight += 1
+        sim.count("net_retransmits")
+        sim.count("net_sent")
+        sim.result.net_inflight += 1
         sim.schedule(
             rec.delay + self.model.jitter_draw(),
             ("net_redeliver", seq, rec.src, rec.dst, rec.payload),

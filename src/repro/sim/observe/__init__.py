@@ -1,6 +1,6 @@
-"""Zero-cost observability: probes, tracing, metrics, flight recorder.
+"""Observability: probes, tracing, metrics, flight recorder.
 
-The package splits into the attach-time interposition machinery
+The package splits into the attach-time wiring
 (:mod:`~repro.sim.observe.probes` — :class:`ObserveConfig`,
 :class:`ObserverHub`, :class:`ProbeSink`) and four stock consumers:
 
@@ -22,12 +22,12 @@ The package splits into the attach-time interposition machinery
   or replayed over a saved JSONL trace (``repro analyze``).
 
 Enable any of them through ``SimulationConfig(observe=
-ObserveConfig(...))``; with the field unset the simulator runs the
-exact pre-observability instruction stream (no flag checks on any hot
-path — see the :mod:`~repro.sim.observe.probes` docstring for why
-disabled mode is provably free). ``ObserveConfig(sample_every=N)``
-bounds the traced-run overhead by 1-in-N transaction sampling of the
-tracer and attribution streams.
+ObserveConfig(...))``. With the field unset nothing attaches: the
+per-event path has no check at all, and counter bumps and lifecycle
+points test one empty probe slot (see the
+:mod:`~repro.sim.observe.probes` docstring).
+``ObserveConfig(sample_every=N)`` bounds the traced-run overhead by
+1-in-N transaction sampling of the tracer and attribution streams.
 """
 
 from repro.sim.observe.attribution import (

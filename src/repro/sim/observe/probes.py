@@ -1,38 +1,40 @@
-"""Probe configuration and the attach-time interposition machinery.
+"""Probe configuration and the attach-time wiring of the observer hub.
 
-The observability layer is **zero-cost when disabled** by construction:
-no hot-path code ever tests an "is tracing on?" flag. Instead, every
-probe is installed by *interposition* when — and only when — an
-:class:`ObserverHub` attaches to a simulator:
+Disabled, the observability layer adds nothing per event and one
+test of an empty slot per counter bump or lifecycle point. An
+:class:`ObserverHub` reaches the simulator two ways when — and only
+when — it attaches:
 
-* the run loop's per-event seam: :class:`~repro.sim.events.
-  HandlerRegistry` deliberately has no ``__slots__`` so an instance
-  attribute can shadow ``dispatch``; the hub installs a wrapper that
-  emits an ``event`` probe and then routes to the handler table;
-* lock-cell mutations: every :class:`~repro.sim.locks.SiteLockManager`
-  already carries an (optional) observer consulted at each grant /
-  wait / release; the hub replaces it with a tee that forwards to the
-  original observer (the incremental waits-for graph, when present)
-  and then emits ``wait``/``unwait``/``hold``/``unhold`` probes;
-* result counters: the hub swaps ``sim.result.__class__`` to a
-  subclass whose ``__setattr__`` emits a ``counter`` probe for the
-  monitored cause/health counters (wounds, deaths, timeouts, detected,
-  crash/unavailable/commit aborts, crashes, waits, commit messages,
-  prepared blocks);
-* transaction lifecycle: the hub shadows the instance methods the
-  runtime and its subsystems invoke through attribute lookup
-  (``add_transaction``, ``mark_prepared``, ``finish_commit``,
-  ``_abort_task``) with wrappers emitting ``arrive`` / ``prepared`` /
-  ``commit`` / ``abort`` probes. The ``abort`` probe carries the cause
-  the runtime passed to its abort entry point, so no consumer has to
-  infer it from the counter stream;
-* scheduling boundaries: ``sim.schedule`` is likewise an instance
-  method invoked through attribute lookup by every send site (the
-  issue/op fan-out, commit protocols, failure injection), so the hub
-  shadows it with a wrapper emitting a ``sched`` probe — the payload
-  at *send* time. Paired with the later ``event`` dispatch probe this
-  exposes every service interval and network hop (queueing/fan-out
-  boundaries) without any hot-path test in the disabled mode.
+* the per-event seams, wrapped by instance-attribute shadowing so the
+  disabled run loop tests nothing per event:
+
+  - the run loop's dispatch: :class:`~repro.sim.events.
+    HandlerRegistry` deliberately has no ``__slots__`` so an instance
+    attribute can shadow ``dispatch``; the hub installs a wrapper that
+    emits an ``event`` probe and then routes to the handler table;
+  - scheduling: ``sim.schedule`` is invoked through attribute lookup
+    by every send site (the issue/op fan-out, commit protocols,
+    failure injection, the network channel), so the hub shadows it
+    with a wrapper emitting a ``sched`` probe — the payload at *send*
+    time. Paired with the later ``event`` dispatch probe this exposes
+    every service interval and network hop;
+  - lock-cell mutations: every :class:`~repro.sim.locks.
+    SiteLockManager` already carries an (optional) observer consulted
+    at each grant / wait / release; the hub replaces it with a tee
+    that forwards to the original observer (the incremental waits-for
+    graph, when present) and then emits ``wait``/``unwait``/``hold``/
+    ``unhold`` probes;
+
+* the simulator's probe slot, ``sim._probe``, which the hub sets to
+  its emit function. :meth:`~repro.sim.runtime.Simulator.count` —
+  the one way any layer bumps a followed counter (abort causes,
+  crashes, waits, commit messages, prepared blocks, the network
+  ledger, the durability faults) — calls it with a ``counter`` probe,
+  and so do four lifecycle points: ``add_transaction`` (``arrive``),
+  ``mark_prepared`` (``prepared``), ``finish_commit`` (``commit``) and
+  the abort cascade's task (``abort``, with the cause the runtime's
+  abort entry point was given, emitted before the victim's status
+  flips).
 
 When 1-in-N transaction sampling is requested (``sample_every > 1``),
 the *sample-aware* sinks (the tracer and the attribution engine) sit
@@ -44,11 +46,11 @@ blocked-on-coordinator classification exact. Whole-stream consumers
 (the metrics sampler, the flight recorder, custom sinks) always see
 everything.
 
-With ``config.observe`` unset, none of this exists and the simulator
-executes byte-for-byte the same instructions as before the layer was
-added — the transparency suite pins digest equality for the enabled
-mode too, since probes only *observe* (they draw no randomness,
-schedule no events, and mutate no simulation state).
+With ``config.observe`` unset nothing attaches: the per-event seams
+run unwrapped and the probe slot stays ``None``. The transparency
+suite pins digest equality for the enabled mode too, since probes
+only *observe* (they draw no randomness, schedule no events, and
+mutate no simulation state).
 """
 
 from __future__ import annotations
@@ -125,7 +127,8 @@ class ProbeSink:
     unwait     (sid, eid, txn)                txn left the queue
     hold       (sid, eid, txn)                txn became a lock holder
     unhold     (sid, eid, txn)                txn released the cell
-    counter    (name, new_value)              a result counter changed
+    counter    (name, new_value)              a counter bumped through
+                                              ``Simulator.count``
     arrive     (txn,)                         open-system arrival
     prepared   (txn,)                         txn entered PREPARED
     commit     (txn,)                         txn committed
@@ -135,9 +138,10 @@ class ProbeSink:
     ========== ============================== ==========================
 
     Under a network model the ``event``/``sched`` payloads include the
-    retransmission channel's wrapper events (:data:`NET_EVENT_KINDS`);
-    the protocol payload a ``net_deliver`` carries is dispatched — and
-    probed — as its own event at delivery time.
+    retransmission channel's wrapper events (``net_deliver`` and the
+    other ``net_*`` kinds); the protocol payload a ``net_deliver``
+    carries is dispatched — and probed — as its own event at delivery
+    time.
     """
 
     def bind(self, sim) -> None:
@@ -150,47 +154,14 @@ class ProbeSink:
         """Called once after the run loop drains."""
 
 
-#: Result counters whose writes emit ``counter`` probes. The abort
-#: *cause* counters change inside the runtime's abort entry point, so
-#: their probes follow the ``abort`` probe they count.
-MONITORED_COUNTERS = frozenset({
-    "wounds", "deaths", "timeouts", "detected", "crash_aborts",
-    "unavailable_aborts", "commit_aborts", "crashes", "waits",
-    "commit_messages", "prepared_blocks",
-    # Network-chaos ledger counters: each increment point in the
-    # retransmission channel emits a probe, so a traced run's counter
-    # stream replays the exact ledger history (``net_inflight`` is
-    # derivable as sent - delivered - dropped - duplicates and is not
-    # monitored — its churn would double the counter traffic).
-    "net_sent", "net_delivered", "net_dropped", "net_duplicates",
-    "net_retransmits", "net_acks", "partitions",
-    # Durability counters: forces completing, storage faults at
-    # crashes, replays, and in-doubt resolutions. The off path (no
-    # durability model) never writes them, so enabling observability
-    # on a durability-free run emits not one extra probe.
-    "log_forces", "tail_losses", "torn_writes", "amnesia_wipes",
-    "log_replays", "in_doubt_resolved",
-})
-
-#: Event kinds owned by the network-chaos layer. ``net_deliver``
-#: wraps a logical send's first copy (its payload slot carries the
-#: inner message); ``net_redeliver`` is a retransmitted or duplicated
-#: copy; ``net_ack``/``net_retransmit`` are the ack path and the
-#: backoff timer chain; the partition kinds mark episode edges. All
-#: are *global*: they stay out of ``EVENT_TXN_ARG`` (the wrapper's
-#: second slot is a channel sequence number, not a transaction id) and
-#: are therefore never sampled out — the per-transaction view of a
-#: wrapped message comes from the inner event probe the channel emits
-#: when it dispatches the payload at delivery time.
-NET_EVENT_KINDS = frozenset({
-    "net_deliver", "net_redeliver", "net_ack", "net_retransmit",
-    "net_partition_start", "net_partition_stop",
-})
-
 #: payload index of the transaction id per ``event``/``sched`` payload
-#: kind; kinds absent from the table (``detect``, ``arrive``,
-#: ``site_crash``/``site_recover``, the ``NET_EVENT_KINDS``) are
-#: global and never sampled out.
+#: kind. Kinds absent from the table (``detect``, ``arrive``,
+#: ``site_crash``/``site_recover``, and the network's ``net_*`` kinds)
+#: are global and never sampled out. The network kinds stay out because
+#: a ``net_deliver``/``net_redeliver`` wrapper's second slot is a
+#: channel sequence number, not a transaction id; the per-transaction
+#: view of a wrapped message comes from the inner event probe the
+#: channel emits when it dispatches the payload at delivery time.
 EVENT_TXN_ARG = {
     "begin": 1, "issue": 1, "op_done": 1, "restart": 1, "timeout": 1,
     "replica_req": 1, "cm_prepare": 1, "cm_vote": 1, "cm_retry": 1,
@@ -236,23 +207,8 @@ class _SampleFilter(ProbeSink):
             sink.finalize(sim, result)
 
 
-class _CountedResult(SimulationResult):
-    """A result whose monitored counter writes emit probes.
-
-    Installed by ``result.__class__`` swap at attach time and swapped
-    back at finalize (so sweep workers can pickle the result).
-    """
-
-    _probe = None  # set per instance at attach
-
-    def __setattr__(self, name, value):
-        object.__setattr__(self, name, value)
-        if name in MONITORED_COUNTERS and self._probe is not None:
-            self._probe(name, value)
-
-
 class ObserverHub:
-    """Builds the configured sinks and interposes them on a simulator.
+    """Builds the configured sinks and attaches them to a simulator.
 
     Construction wires nothing; :meth:`attach` installs every probe.
     Extra custom sinks may be passed alongside the configured ones::
@@ -316,11 +272,8 @@ class ObserverHub:
         for sink in self._sinks:
             sink.on_probe(kind, t, args)
 
-    def _on_counter(self, name: str, value) -> None:
-        self._emit("counter", (name, value))
-
     # ------------------------------------------------------------------
-    # interposition
+    # attachment
     # ------------------------------------------------------------------
 
     def attach(self) -> None:
@@ -363,68 +316,15 @@ class ObserverHub:
         for sid, site in enumerate(sim._site_list):
             site.observer = _TeeCellObserver(self, sid, site.observer)
 
-        # 3. Counter probes via the result-class swap.
-        result = sim.result
-        result.__class__ = _CountedResult
-        object.__setattr__(result, "_probe", self._on_counter)
-
-        # 4. Lifecycle probes via instance-method shadowing. All four
-        # originals are invoked through attribute lookup at call time
-        # (by the commit protocols, the arrival process, and the abort
-        # cascade driver), so shadowing intercepts every call site.
-        emit = self._emit
-
-        orig_add = sim.add_transaction
-
-        def add_transaction(txn):
-            index = orig_add(txn)
-            emit("arrive", (index,))
-            return index
-
-        sim.add_transaction = add_transaction
-
-        orig_prepared = sim.mark_prepared
-
-        def mark_prepared(inst):
-            orig_prepared(inst)
-            emit("prepared", (inst.index,))
-
-        sim.mark_prepared = mark_prepared
-
-        orig_commit = sim.finish_commit
-
-        def finish_commit(inst):
-            orig_commit(inst)
-            emit("commit", (inst.index,))
-
-        sim.finish_commit = finish_commit
-
-        # _abort_task is a generator function; the runtime drives a
-        # freshly created generator immediately (LIFO cascade), and
-        # the task body aborts iff the instance is still RUNNING at
-        # creation — so emitting here, under the same guard, reports
-        # exactly the aborts that happen, each with its cause.
-        from repro.sim.runtime import _RUNNING
-
-        orig_abort_task = sim._abort_task
-
-        def _abort_task(inst, cause):
-            if inst.status == _RUNNING:
-                emit("abort", (inst.index, inst.attempt, cause))
-            return orig_abort_task(inst, cause)
-
-        sim._abort_task = _abort_task
+        # 3. Counter and lifecycle probes: Simulator.count and the
+        # arrive/prepared/commit/abort points call the probe slot.
+        sim._probe = self._emit
 
     def finalize(self) -> None:
-        """Flush sinks onto the result and restore picklability."""
+        """Flush every sink onto the result."""
         sim = self.sim
-        result = sim.result
         for sink in self._sinks:
-            sink.finalize(sim, result)
-        if result.__class__ is _CountedResult:
-            if "_probe" in result.__dict__:
-                del result.__dict__["_probe"]
-            result.__class__ = SimulationResult
+            sink.finalize(sim, sim.result)
 
 
 class _TeeCellObserver:

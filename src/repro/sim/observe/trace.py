@@ -11,9 +11,9 @@ records and exports them as
   duration events on one track per (site, transaction); transaction
   lifecycle marks (arrive, prepared, commit, abort-with-cause) and
   runtime events (restarts, timeouts, detection scans, crashes,
-  repairs, commit-round messages) become instants; the monitored
-  result counters become Chrome counter tracks. One simulated time
-  unit is rendered as one millisecond.
+  repairs, commit-round messages) become instants; the counters
+  bumped through ``Simulator.count`` become Chrome counter tracks. One
+  simulated time unit is rendered as one millisecond.
 
 Every abort record carries the cause the runtime passed to its abort
 entry point (``wound``, ``death``, ``timeout``, ``detected``,

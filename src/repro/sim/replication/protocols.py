@@ -145,8 +145,11 @@ class WriteAllAvailable(ReplicaControl):
     therefore avoid stale replicas: a recovering site serves no reads
     for an entity until it has caught up. Without a catch-up log a
     recovering site cannot know what it missed, so recovery is
-    conservative — the crash itself marks every replica the site hosts
-    stale (see :class:`~repro.sim.replication.manager.ReplicaManager`).
+    conservative. The crash itself only closes an availability
+    interval; the recovery marks every copy the site hosts unvalidated
+    (stale to reads) until an anti-entropy scan or a refreshing write
+    validates it (see :meth:`~repro.sim.replication.manager.
+    ReplicaManager.on_recover`).
     """
 
     name = "rowa-available"

@@ -35,11 +35,11 @@ Six pluggable subsystems extend the core loop:
   replicas, and a Lock completes only when every chosen replica
   granted. At factor 1 every protocol degenerates to the single-copy
   simulator bit for bit;
-* adversarial network (:mod:`repro.sim.network`) — carries every
-  cross-site message through :meth:`Simulator.transmit` with loss,
-  duplication, jitter and partition episodes over a retransmission
-  channel, and turns :meth:`Simulator.suspect_down` into timeout-based
-  failure suspicion;
+* adversarial network (:mod:`repro.sim.network`) — when attached,
+  :meth:`Simulator.transmit` hands every cross-site message to its
+  retransmission channel (loss, duplication, jitter and partition
+  episodes), and :meth:`Simulator.suspect_down` asks it for
+  timeout-based failure suspicion;
 * durability (:mod:`repro.sim.durability`) — per-site write-ahead
   logs behind the commit protocols' force points: a crash truncates a
   site to its log (with optional disk faults) and recovery replays it,
@@ -52,14 +52,16 @@ dispatcher and never enumerates event types.
 
 Observability (:mod:`repro.sim.observe`) rides on top: when
 ``config.observe`` requests it, an :class:`~repro.sim.observe.
-ObserverHub` interposes probes on the dispatch seam, the schedule
-seam (:meth:`Simulator.schedule` is shadowed so every enqueued event
-emits a ``sched`` probe at send time, which lets consumers tell
-in-flight network messages from idle waiting), the lock-cell
-observers, the result counters, and the lifecycle methods — tracing,
-metrics time series, flight-recorder dumps, and latency attribution
-all come from that stream. With the field unset nothing attaches and
-the hot paths are untouched.
+ObserverHub` wraps the per-event seams — the registry's dispatch,
+:meth:`Simulator.schedule` (so every enqueued event emits a ``sched``
+probe at send time, which lets consumers tell in-flight network
+messages from idle waiting), and the lock-cell observers — and fills
+the simulator's probe slot, which :meth:`Simulator.count` and the
+arrive/prepared/commit/abort lifecycle points call. Tracing, metrics
+time series, flight-recorder dumps, and latency attribution all come
+from that stream. With the field unset nothing attaches: the
+per-event path tests nothing, and a counter bump or lifecycle point
+tests one empty slot.
 
 Fast-path architecture: at construction the simulator *interns* the
 schema — entities and sites are mapped to dense integer ids in sorted
@@ -184,8 +186,9 @@ class SimulationConfig:
         seed: RNG seed (arrivals and jitter).
         observe: observability configuration
             (:class:`~repro.sim.observe.ObserveConfig`); None (the
-            default) attaches nothing, leaving every hot path exactly
-            as fast — and every digest exactly as it was — without it.
+            default) attaches nothing: the probe slot stays empty, the
+            per-event path is untouched, and every digest is as it
+            would be without the layer.
         network: adversarial-network configuration
             (:class:`~repro.sim.network.NetworkConfig`): message loss,
             duplication, jitter, and partition episodes, plus the
@@ -311,6 +314,9 @@ class Simulator:
         self._rng = random.Random(self.config.seed)
         self._queue = EventQueue()
         self._registry = HandlerRegistry()
+        # The observer hub's emit function, set when one attaches:
+        # count() and the lifecycle points call it with (kind, args).
+        self._probe = None
         self.arrivals: ArrivalProcess | None = None
         if self.config.arrival_rate > 0:
             # Open system: wrap the (possibly empty) closed batch in a
@@ -417,10 +423,10 @@ class Simulator:
         if self.config.failure_rate > 0:
             self.failures = FailureInjector(self)
             self.failures.attach()
-        # The adversarial network attaches after the protocols wired
-        # their handlers (its delivery path re-dispatches their event
-        # kinds) and before observability (so probe shadows wrap the
-        # whole chaos path). With the field unset or all-zero, nothing
+        # The attach order fixes the order of the construction-time
+        # schedules (crash chains, partition episodes, the first
+        # arrival) and with them the queue's tie-breaks, so it is
+        # behaviour. With the network field unset or all-zero, nothing
         # attaches and transmit() stays a pass-through to schedule().
         self.network: NetworkModel | None = None
         if self.config.network is not None and self.config.network.enabled:
@@ -429,9 +435,10 @@ class Simulator:
         if self.arrivals is not None:
             self.arrivals.attach()
         # Observability attaches last, once every subsystem wired its
-        # handlers and observers: all probing is interposition (see
-        # repro.sim.observe.probes), so when the field is unset the
-        # simulator runs the exact uninstrumented instruction stream.
+        # handlers and observers, so the construction-time schedules
+        # above are not probed. With the field unset the probe slot
+        # stays empty and the per-event seams stay unwrapped (see
+        # repro.sim.observe.probes).
         self.observe: ObserverHub | None = None
         if self.config.observe is not None and self.config.observe.enabled:
             self.observe = ObserverHub(self, self.config.observe)
@@ -524,34 +531,54 @@ class Simulator:
         _heappush(queue._heap, (time, queue._seq, payload))
         queue._seq += 1
 
+    def count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to the result counter ``name``.
+
+        The one way any layer bumps a counter that emits probes: with
+        an observer attached, the new value goes out as a ``counter``
+        probe. Counters no consumer follows (``aborts``,
+        ``net_inflight``, the time integrals) are bumped inline.
+        """
+        counters = self.result.__dict__
+        value = counters[name] + n
+        counters[name] = value
+        if self._probe is not None:
+            self._probe("counter", (name, value))
+
     def transmit(
         self, src_sid: int, dst_sid: int, delay: float, payload: tuple
     ) -> None:
-        """Send a cross-site message from ``src_sid`` to ``dst_sid``.
+        """Send a message from site ``src_sid`` to site ``dst_sid``.
 
-        The network seam: the default body is exactly
-        :meth:`schedule` — a perfect network — and
-        :class:`~repro.sim.network.NetworkModel` shadows this method
-        on the instance to apply loss, duplication, jitter, partition
-        cuts, and the retransmission substrate. ``self.schedule`` is
-        resolved at call time, so the ObserverHub's ``sched``-probe
-        shadow keeps seeing every enqueue either way.
+        Without a network model this is :meth:`schedule` — a perfect
+        network. With one, a message between two sites goes to its
+        retransmission channel (loss, duplication, jitter, partition
+        cuts, retransmission until acked); intra-site messages never
+        touch the wire, which keeps paxos F=0 message-for-message 2PC.
+        Every copy is enqueued through ``self.schedule``, where the
+        observer's ``sched`` probe sees it.
         """
-        self.schedule(delay, payload)
+        network = self.network
+        if network is None or src_sid == dst_sid:
+            self.schedule(delay, payload)
+        else:
+            network.channel.send(src_sid, dst_sid, delay, payload)
 
     def suspect_down(self, site: str) -> bool:
         """Whether a protocol should *suspect* ``site`` has failed.
 
         Without a network model this is omniscient truth
         (``not site_is_up``), the pre-network behaviour. With one
-        attached it becomes timeout-based failure suspicion: a site is
-        suspected while it is crashed *or* while the oldest unacked
-        message addressed to it is older than the configured
-        ``suspect_timeout`` — which is all a real protocol could
-        observe, and what lets a partitioned-but-up site be routed
-        around without ever being marked crashed.
+        attached it is :meth:`NetworkModel.suspect_down
+        <repro.sim.network.NetworkModel.suspect_down>`: timeout-based
+        suspicion from the age of the oldest unacked message, which
+        lets a partitioned-but-up site be routed around without ever
+        being marked crashed.
         """
-        return not self.site_is_up(site)
+        network = self.network
+        if network is None:
+            return not self.site_is_up(site)
+        return network.suspect_down(site)
 
     @property
     def now(self) -> float:
@@ -595,6 +622,8 @@ class Simulator:
         self.result.injected += 1
         self._inflight += 1
         self._issue_ready(inst)
+        if self._probe is not None:
+            self._probe("arrive", (index,))
         return index
 
     def lock_tables(self) -> MappingProxyType:
@@ -690,6 +719,8 @@ class Simulator:
         inst.status = _PREPARED
         inst.exec_done_time = self._now
         inst.prepared_since = self._now
+        if self._probe is not None:
+            self._probe("prepared", (inst.index,))
 
     def finish_commit(self, inst: _Instance) -> None:
         """Commit the transaction at the current time."""
@@ -702,6 +733,8 @@ class Simulator:
         if self._now >= self.config.warmup_time:
             self.result.measured_committed += 1
         self.replicas.on_commit(inst)
+        if self._probe is not None:
+            self._probe("commit", (inst.index,))
 
     def abort_from_commit(self, inst: _Instance) -> None:
         """Abort a PREPARED transaction whose commit round failed."""
@@ -1000,7 +1033,7 @@ class Simulator:
         """A lock request blocked: run the policy against its blockers."""
         if self._policy_pure_wait:
             inst.waiting[(eid, sid)] = self._now
-            self.result.waits += 1
+            self.count("waits")
             if self.policy.uses_timeout:
                 self.schedule(
                     self.config.timeout,
@@ -1030,7 +1063,7 @@ class Simulator:
                 and holder_inst.status in (_PREPARED, _COMMITTED)
             ):
                 decision = Decision.WAIT_PREPARED
-                self.result.prepared_blocks += 1
+                self.count("prepared_blocks")
             if decision is Decision.ABORT_SELF:
                 granted = site.cancel_wait(inst.index, eid)
                 self._abort(inst, "death")
@@ -1038,7 +1071,7 @@ class Simulator:
                     self._on_grant(grantee, eid, sid)
                 return
             inst.waiting[(eid, sid)] = self._now
-            self.result.waits += 1
+            self.count("waits")
             if decision is Decision.ABORT_HOLDER:
                 if holder_inst.status == _RUNNING:
                     self._abort(holder_inst, "wound")
@@ -1067,7 +1100,7 @@ class Simulator:
                 # request counts once, however many holders prepared).
                 decision = Decision.WAIT_PREPARED
                 if not prepared_counted:
-                    self.result.prepared_blocks += 1
+                    self.count("prepared_blocks")
                     prepared_counted = True
             if decision is Decision.ABORT_SELF:
                 granted = site.cancel_wait(inst.index, eid)
@@ -1079,7 +1112,7 @@ class Simulator:
         # The waiting decisions and ABORT_HOLDER all leave the
         # requester in the queue.
         inst.waiting[(eid, sid)] = self._now
-        self.result.waits += 1
+        self.count("waits")
         wounded = [
             h for h, d in decisions if d is Decision.ABORT_HOLDER
         ]
@@ -1386,14 +1419,18 @@ class Simulator:
         """Abort one transaction; frame of the cascade worklist.
 
         The one place ``aborts`` and the abort-cause counters change.
+        The ``abort`` probe goes out before the status flip, while the
+        victim's waits-for edges still stand (flight-recorder
+        snapshots rebuild the graph from RUNNING instances).
         """
         if inst.status != _RUNNING:
             return  # an earlier frame of this cascade got it first
+        if self._probe is not None:
+            self._probe("abort", (inst.index, inst.attempt, cause))
         inst.status = _ABORTED
-        result = self.result
-        result.aborts += 1
+        self.result.aborts += 1
         for name in ABORT_CAUSE_COUNTERS[cause]:
-            setattr(result, name, getattr(result, name) + 1)
+            self.count(name)
         txn = inst.index
         if inst.waiting:
             site_list = self._site_list
@@ -1567,12 +1604,14 @@ class Simulator:
         heap = queue._heap  # borrowed: pop inline, one C call per event
         heappop = _heappop
         registry = self._registry
-        # Instrumentation (the waits-for invariant suite) shadows
-        # ``dispatch`` per registry instance; honour the wrapper when
-        # present, otherwise route events through the handler table
-        # directly — one dict hit and call per event instead of an
-        # extra frame. (A typo'd event kind then surfaces as KeyError
-        # rather than dispatch()'s RuntimeError; both are caller bugs.)
+        # Instrumentation shadows ``dispatch`` per registry instance:
+        # the observer hub, the benchmark's span recorder
+        # (perfbench/recorder.py) and the waits-for invariant suite.
+        # Honour the wrapper when present, otherwise route events
+        # through the handler table directly — one dict hit and call
+        # per event instead of an extra frame. (A typo'd event kind
+        # then surfaces as KeyError rather than dispatch()'s
+        # RuntimeError; both are caller bugs.)
         dispatch = registry.__dict__.get("dispatch")
         handlers = registry._handlers
         result = self.result

@@ -215,3 +215,40 @@ class TestRunFlags:
         assert base["max_transactions"] == 10
         # The cells take their workload from the spec, not from base.
         assert base["workload"] is None
+
+
+class TestUsageErrors:
+    """Bad observability and range flags exit 2 with a message, not a
+    traceback, and write nothing."""
+
+    OPEN = ["--arrival-rate", "0.5", "--max-transactions", "10"]
+
+    @pytest.mark.parametrize("extra", [[], ["--trace-jsonl", "T.jsonl"]])
+    def test_zero_metrics_window(self, tmp_path, monkeypatch, capsys, extra):
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "simulate", *self.OPEN, "--metrics-out", "M.json",
+            "--metrics-window", "0", *extra,
+        ]) == 2
+        assert "--metrics-window" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", *OPEN, "--trace-jsonl", "T.jsonl",
+              "--trace-sample", "0"], "sample_every"),
+            (["simulate", *OPEN, "--loss-rate", "1.5"], "loss_rate"),
+            (["simulate", *OPEN, "--flush-time", "-1"], "flush_time"),
+            (["sweep", "--serial", "--flush-time", "-1"], "flush_time"),
+            (["sweep", "--serial", "--loss-rates", "1.5"], "loss_rate"),
+        ],
+    )
+    def test_config_range_errors(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]}: ") and message in err
+        assert not list(tmp_path.iterdir())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -11,11 +12,13 @@ from repro.cli import main
 from repro.core.entity import DatabaseSchema
 from repro.core.system import TransactionSystem
 from repro.sim import (
+    DurabilityConfig,
     ObserveConfig,
     ObserverHub,
     SimulationConfig,
     Simulator,
 )
+from repro.sim.network import NetworkConfig
 from repro.sim.observe.trace import load_trace, summarize_trace
 from repro.sim.workload import WorkloadSpec, random_system
 
@@ -266,6 +269,193 @@ class TestAbortProbe:
         expected["crash"] -= result.unavailable_aborts
         assert sink.counts == {c: n for c, n in expected.items() if n}
         assert {"wound", "crash", "unavailable"} <= set(sink.counts)
+
+
+def _sha(data) -> str:
+    if not isinstance(data, bytes):
+        data = json.dumps(data, separators=(",", ":")).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def _full_observe(out_dir, **overrides) -> ObserveConfig:
+    return ObserveConfig(**{
+        "trace": True, "trace_capacity": 1 << 20, "metrics_window": 5.0,
+        "flight_recorder": str(out_dir), "flight_cascade_threshold": 3,
+        "attribution": True, **overrides,
+    })
+
+
+def _stream_case(case: str, observe):
+    """(system, policy, config) of one probe-stream golden case."""
+    if case == "detect":
+        spec = WorkloadSpec(
+            n_transactions=16, n_entities=5, n_sites=3,
+            entities_per_txn=(2, 4), hotspot_skew=0.8,
+        )
+        config = SimulationConfig(
+            seed=1, network_delay=0.5, detection_interval=4.0,
+            commit_protocol="presumed-abort", observe=observe,
+        )
+        return random_system(random.Random(3), spec), "detect", config
+    if case == "chaos":
+        layers = {
+            "commit_protocol": "paxos-commit",
+            "replica_protocol": "rowa-available",
+            "network": NetworkConfig(
+                loss_rate=0.05, dup_rate=0.05, jitter=0.2,
+                partition_schedule=((20.0, 15.0, ("s1",)),),
+            ),
+            "durability": DurabilityConfig(
+                flush_time=0.3, tail_loss_rate=0.3, torn_write_rate=0.2,
+            ),
+        }
+    else:
+        layers = {
+            "commit_protocol": "two-phase", "replica_protocol": "quorum",
+        }
+    spec = WorkloadSpec(
+        n_entities=6, n_sites=3, entities_per_txn=(2, 4),
+        hotspot_skew=0.8, read_fraction=0.3,
+        replication_factor=2 if case == "chaos" else 3,
+    )
+    config = SimulationConfig(
+        seed=5, network_delay=0.5, arrival_rate=0.5, max_transactions=40,
+        workload=spec, failure_rate=0.02, repair_time=5.0,
+        observe=observe, **layers,
+    )
+    return TransactionSystem([]), "wound-wait", config
+
+
+class TestProbeStreamGolden:
+    """The probe stream itself, pinned.
+
+    Each case hashes what the stock sinks made of the stream: the
+    tracer's records, every flight dump's ``.jsonl`` and ``.dot``, and
+    the attribution and metrics blocks of the result. A probe that
+    moves within the stream moves a digest even when every per-kind
+    count stays the same — an abort probe emitted after the victim's
+    status flip, for one, drops its edges from the ``.dot`` snapshots
+    of abort-cascade dumps. The digests were generated while the
+    counter and lifecycle probes still came from a result-class swap
+    and method shadows, so they also pin that ``Simulator.count`` and
+    the probe slot emit the same stream.
+    """
+
+    GOLDEN = {
+        # wound-wait, two-phase, quorum at r=3 with reads, crashes
+        "wound-wait": {
+            "trace": "3e5c9d6ce94caa5da9f601ba658bb32a"
+                     "413663c0a095f4a7f29c524c58949a8c",
+            "flight": "a169fac325ac0f66319ff8c3a5549e2e"
+                      "8139a3916011cb1072806a13a0af3fa5",
+            "attribution": "6204e59de5ac68438d4f1aec5d540623"
+                           "9a276dd25e59b24a223eee65955919e3",
+            "timeseries": "b4a4be7baee15ff624ef6d705b86c203"
+                          "d20c4de151df30a543155f91c0e1baba",
+        },
+        # paxos-commit over rowa-available: loss, duplication, jitter,
+        # a scripted partition, a faulty WAL, crashes
+        "chaos": {
+            "trace": "e8f4b8bcf7905d21bb6757989ff7195e"
+                     "9cfb29998f07e442613d5b9212b5e1fd",
+            "flight": "74061179034370c3f6bb38cf9b737ca8"
+                      "433fd288a958077de268c06fb467a08a",
+            "attribution": "128db54f295127251044586efdbaa652"
+                           "1481e5e681c47a9ea3b222df8d9c7ad5",
+            "timeseries": "eeb670ebd7db0df2220d79ebccd2badc"
+                          "0f19e3904aaea356e8d795f3d8af2374",
+        },
+        # detect on a closed presumed-abort batch
+        "detect": {
+            "trace": "9fae0d1f79dc908b03508d9b24b7561c"
+                     "c23d5e9ac80ecc85a522e6cf79888b5e",
+            "flight": "19c99b82c05ad0ff3fdace1fb71a989e"
+                      "7d0a1ee85db2d833eb59815332e4b650",
+            "attribution": "8a9ab6d08af021cebd115f3665f8b0df"
+                           "7fe73648e40cf8e649f3ddbc341d0e63",
+            "timeseries": "b6e60773ad62805408d495245f02fcd6"
+                          "c75faa1c96caebf68abe0d863f1e6b54",
+        },
+        # the wound-wait case under 1-in-4 sampling
+        "sampled": {
+            "trace": "7b611a9062e9a18d09eba80474ee21d0"
+                     "f4f8153af32ea156c87ffa969398be65",
+            "flight": "a169fac325ac0f66319ff8c3a5549e2e"
+                      "8139a3916011cb1072806a13a0af3fa5",
+            "attribution": "c9fe365ce95ba5d30e7b9fe5f630776a"
+                           "992140585dc83731bc3e41c6221bfe46",
+            "timeseries": "b4a4be7baee15ff624ef6d705b86c203"
+                          "d20c4de151df30a543155f91c0e1baba",
+        },
+    }
+
+    #: the dump reasons each case must produce, so the flight digest
+    #: covers every trigger
+    REASONS = {
+        "wound-wait": {"site-crash", "abort-cascade"},
+        "chaos": {"site-crash", "abort-cascade"},
+        "detect": {"deadlock-detected"},
+        "sampled": {"site-crash", "abort-cascade"},
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_stream_matches_the_goldens(self, case, tmp_path):
+        overrides = {"sample_every": 4} if case == "sampled" else {}
+        sim = Simulator(*_stream_case(
+            case, _full_observe(tmp_path, **overrides)
+        ))
+        result = sim.run()
+        dumps = []
+        for dump in sim.observe.flight.dumps:
+            with open(dump["events"], "rb") as fh:
+                events = fh.read()
+            with open(dump["waits_for"], "rb") as fh:
+                dot = fh.read()
+            dumps.append(
+                (dump["reason"], dump["time"], _sha(events), _sha(dot))
+            )
+        assert {d[0] for d in dumps} == self.REASONS[case]
+        if case == "chaos":
+            assert result.partitions == 1
+            assert result.net_dropped and result.net_duplicates
+            assert result.tail_losses and result.torn_writes
+        assert {
+            "trace": _sha(sim.observe.tracer.records()),
+            "flight": _sha(dumps),
+            "attribution": _sha(result.attribution),
+            "timeseries": _sha(result.timeseries),
+        } == self.GOLDEN[case]
+
+    def test_nothing_is_patched_onto_the_simulator(self, tmp_path):
+        """Observation and the network are called, not patched in: a
+        fully observed chaos run leaves no method shadow on the
+        simulator, and its result keeps its own class throughout."""
+        from repro.sim import ProbeSink, SimulationResult
+
+        class ResultTypes(ProbeSink):
+            def __init__(self):
+                self.types = set()
+
+            def bind(self, sim):
+                self.sim = sim
+
+            def on_probe(self, kind, time, args):
+                if kind in ("counter", "commit"):
+                    self.types.add(type(self.sim.result))
+
+        sink = ResultTypes()
+        system, policy, config = _stream_case("chaos", None)
+        sim = Simulator(system, policy, config)
+        hub = ObserverHub(sim, _full_observe(tmp_path), [sink])
+        hub.attach()
+        sim.observe = hub
+        sim.run()
+        shadows = {
+            "transmit", "suspect_down", "add_transaction",
+            "mark_prepared", "finish_commit", "_abort_task",
+        }
+        assert not shadows & set(vars(sim))
+        assert sink.types == {SimulationResult}
 
 
 class TestCli:

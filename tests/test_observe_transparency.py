@@ -178,8 +178,10 @@ class TestDigestTransparency:
         assert not ObserveConfig().enabled
         sim = Simulator(system, policy, config)
         assert sim.observe is None
-        # No instance shadow on the dispatch seam either.
+        # No instance shadow on the dispatch seam either, and the
+        # probe slot count() and the lifecycle points test is empty.
         assert "dispatch" not in sim._registry.__dict__
+        assert sim._probe is None
 
     def test_observed_result_is_picklable_and_plain(self):
         import pickle
