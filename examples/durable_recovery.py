@@ -76,14 +76,15 @@ def main() -> None:
     resolved_total = 0
     for protocol in PROTOCOLS:
         sim, result = run_protocol(protocol)
+        dur = sim.durability
         abort_records[protocol] = sum(
             1
-            for log in sim.durability._logs
-            for record in log
+            for site in sim.site_names()
+            for record in dur.log(site)
             if record[0] == "decision" and record[3] == "abort"
         )
         resolved_total += result.in_doubt_resolved
-        for report in sim.durability.recovery_reports:
+        for report in dur.recovery_reports:
             if report["reacquired"] != report["implied"]:
                 replay_exact = False
         rows.append(

@@ -40,15 +40,19 @@ A crash now truncates volatile state to log contents:
   retained entries instead of magically keeping them.
 
 Recovery (:meth:`DurabilityManager.on_site_recover`) is an actual
-replay: an analysis pass over the site's log reconstructs the
-in-doubt set (``prepare`` without a matching ``decision``),
-re-acquires exactly the log-implied retained locks, and resolves
-in-doubt transactions by protocol inquiry (``cm_inquire`` /
+replay. Every append to a site's log keeps its replay state current:
+the *open prepares* — each transaction's latest ``prepare`` record
+with no ``decision`` record for its attempt — are the in-doubt set.
+Recovery re-acquires exactly the log-implied retained locks and
+resolves in-doubt transactions by protocol inquiry (``cm_inquire`` /
 ``cm_status``) over the retransmission channel, re-asking every
 ``commit_timeout`` while unresolved (suspicion-driven retry — a
 partition simply delays resolution, it cannot split it). Stale
 records (the round aborted and the transaction moved on) resolve
-instantly by presumption, with no physical re-acquisition.
+instantly by presumption, with no physical re-acquisition. A crash
+thus costs the site's in-flight flushes and lock table, and a
+recovery its open prepares; only a disk fault that drops records
+re-reads the site's whole log.
 
 With ``SimulationConfig.durability`` unset nothing here exists: no
 events, no RNG draws, no log — every force completes at once, and the
@@ -139,8 +143,15 @@ class DurabilityManager:
         self._pending: dict[int, tuple] = {}
         #: (sid, *record) of every in-flight flush, for dedup.
         self._pending_keys: set = set()
-        #: (sid, kind, txn, attempt) of every durable record.
-        self._index: set = set()
+        #: per site, the (kind, txn, attempt) key of every durable
+        #: record. Each append adds its key; only a disk fault that
+        #: drops records re-derives the set (:meth:`_rederive`).
+        self._index: list[set] = [set() for _ in range(n_sites)]
+        #: per site, the open prepares: txn -> (attempt, locks) of its
+        #: latest durable prepare record while no decision record for
+        #: that attempt is logged. Kept current the same way; recovery
+        #: replays it.
+        self._open: list[dict[int, tuple]] = [{} for _ in range(n_sites)]
         self._next_lsn = 0
         #: unresolved in-doubt participants: (txn, sid).
         self._in_doubt: set[tuple[int, int]] = set()
@@ -187,9 +198,39 @@ class DurabilityManager:
         sid, record, cont, _cancel = entry
         self._pending_keys.discard((sid,) + record)
         self._logs[sid].append(record)
-        self._index.add((sid, record[0], record[1], record[2]))
+        self._note(sid, record)
         self.sim.count("log_forces")
         cont()
+
+    def _note(self, sid: int, record: tuple) -> None:
+        """Fold one newly durable record into the site's replay state."""
+        kind, txn, attempt = record[0], record[1], record[2]
+        index = self._index[sid]
+        index.add((kind, txn, attempt))
+        if kind == "prepare":
+            # The latest prepare of the transaction replaces any
+            # earlier one; it is open unless already decided.
+            if ("decision", txn, attempt) in index:
+                self._open[sid].pop(txn, None)
+            else:
+                self._open[sid][txn] = (attempt, record[3])
+        elif kind == "decision":
+            entry = self._open[sid].get(txn)
+            if entry is not None and entry[0] == attempt:
+                del self._open[sid][txn]
+
+    def _rederive(self, sid: int) -> None:
+        """Rebuild the site's replay state from its whole log.
+
+        The one path that reads a whole log, taken only after a disk
+        fault dropped records: a dropped record cannot be undone by
+        deleting its key, because records repeat keys (a Paxos
+        acceptor logs one ``accept`` per registered vote).
+        """
+        self._index[sid] = set()
+        self._open[sid] = {}
+        for record in self._logs[sid]:
+            self._note(sid, record)
 
     def flush_pending(self, site: str, record: tuple) -> bool:
         """Whether exactly this record is already being flushed."""
@@ -199,15 +240,15 @@ class DurabilityManager:
 
     def has_prepare(self, site: str, txn: int, attempt: int) -> bool:
         """Whether ``site`` holds a durable prepare record."""
-        return (
-            self.sim.site_id(site), "prepare", txn, attempt
-        ) in self._index
+        return ("prepare", txn, attempt) in self._index[
+            self.sim.site_id(site)
+        ]
 
     def has_decision(self, site: str, txn: int, attempt: int) -> bool:
         """Whether ``site`` holds a durable decision record."""
-        return (
-            self.sim.site_id(site), "decision", txn, attempt
-        ) in self._index
+        return ("decision", txn, attempt) in self._index[
+            self.sim.site_id(site)
+        ]
 
     def log(self, site: str) -> tuple:
         """The site's durable log, oldest record first."""
@@ -300,6 +341,7 @@ class DurabilityManager:
         if log:
             config = self.config
             rng = self._rng
+            size = len(log)
             if rng.random() < config.amnesia_rate:
                 del log[:]
                 sim.count("amnesia_wipes")
@@ -311,7 +353,8 @@ class DurabilityManager:
                 if log and rng.random() < config.tail_loss_rate:
                     log.pop()
                     sim.count("tail_losses")
-            self._rebuild_index(sid)
+            if len(log) < size:
+                self._rederive(sid)
         # 3. Truncate volatile lock state to the (empty) table: the
         # crash already aborted every RUNNING transaction, so what
         # remains involved here is prepared/committed holders — their
@@ -328,31 +371,23 @@ class DurabilityManager:
                 for grantee in granted:  # pragma: no cover - defensive
                     sim._on_grant(grantee, eid, sid)
 
-    def _rebuild_index(self, sid: int) -> None:
-        self._index = {key for key in self._index if key[0] != sid}
-        for record in self._logs[sid]:
-            self._index.add((sid, record[0], record[1], record[2]))
-
     # ------------------------------------------------------------------
-    # recovery: analysis pass + replay + in-doubt inquiry
+    # recovery: replay of the open prepares + in-doubt inquiry
     # ------------------------------------------------------------------
 
     def log_implied_locks(self, site: str) -> set:
         """``(txn, eid)`` entries the log implies are retained here.
 
-        Pure log analysis: the latest prepare record of each
-        transaction, minus those with a matching decision record,
+        Read off the site's open prepares (each transaction's latest
+        prepare record without a decision record for its attempt),
         minus those whose attempt is stale or whose transaction is no
         longer prepared/committed (the round aborted while the site
         was down — presumption releases them without re-acquisition).
         """
         sim = self.sim
         sid = sim.site_id(site)
-        prepared, decided = self._analyze(sid)
         implied = set()
-        for txn, (attempt, locks) in prepared.items():
-            if (txn, attempt) in decided:
-                continue
+        for txn, (attempt, locks) in self._open[sid].items():
             inst = sim.instance(txn)
             if inst.attempt != attempt or inst.status not in (
                 _PREPARED, _COMMITTED
@@ -363,26 +398,16 @@ class DurabilityManager:
             )
         return implied
 
-    def _analyze(self, sid: int) -> tuple[dict, set]:
-        prepared: dict[int, tuple] = {}
-        decided: set = set()
-        for record in self._logs[sid]:
-            kind = record[0]
-            if kind == "prepare":
-                prepared[record[1]] = (record[2], record[3])
-            elif kind == "decision":
-                decided.add((record[1], record[2]))
-        return prepared, decided
-
     def on_site_recover(self, site: str) -> None:
-        """Replay the site's log: re-acquire, reconstruct, inquire.
+        """Replay the site's open prepares: re-acquire, inquire.
 
         Called by the failure injector after the site is marked up.
-        The replay re-acquires exactly the log-implied retained locks
-        (the table is empty, so every request grants), rebuilds the
-        in-doubt set from prepare-without-decision records, and sends
-        a ``cm_inquire`` per in-doubt transaction; stale records
-        resolve by presumption on the spot.
+        Each open prepare, in transaction order, either resolves by
+        presumption on the spot (its round aborted while the site was
+        down) or re-enters doubt: the replay re-acquires its
+        log-implied retained locks (the table is empty, so every
+        request grants) and sends it a ``cm_inquire``. A site whose
+        log is empty rejoins as a fresh replica and replays nothing.
         """
         sim = self.sim
         sid = sim.site_id(site)
@@ -391,23 +416,22 @@ class DurabilityManager:
             return  # nothing durable: rejoin as a fresh replica
         sim.count("log_replays")
         implied = self.log_implied_locks(site)
-        prepared, decided = self._analyze(sid)
+        open_prepares = self._open[sid]
         table = sim.lock_tables()[site]
         reacquired = set()
         in_doubt = []
         presumed = 0
-        for txn in sorted(prepared):
-            attempt, locks = prepared[txn]
-            if (txn, attempt) in decided:
-                continue  # decided and released before the crash
+        for txn in sorted(open_prepares):
+            attempt, locks = open_prepares[txn]
             inst = sim.instance(txn)
             if inst.attempt != attempt or inst.status not in (
                 _PREPARED, _COMMITTED
             ):
                 # Presumption: the round aborted while we were down;
-                # there is nothing to hold and nobody to ask.
+                # there is nothing to hold and nobody to ask. An entry
+                # an interrupted replay left open is this same state.
                 presumed += 1
-                self.resolved(txn, site)  # no-op unless re-crashed
+                self._in_doubt.discard((txn, sid))
                 sim.count("in_doubt_resolved")
                 continue
             for eid, held in locks:

@@ -7,6 +7,7 @@ import random
 from repro.core.entity import DatabaseSchema
 from repro.core.system import TransactionSystem
 from repro.core.transaction import Transaction
+from repro.sim.runtime import _COMMITTED, _PREPARED
 from repro.sim.workload import WorkloadSpec, random_system
 
 TWO_SITES = DatabaseSchema.from_groups({"s1": ["x", "y"], "s2": ["z", "w"]})
@@ -54,3 +55,75 @@ def small_random_system(
         shape=shape,
     )
     return random_system(rng, spec)
+
+
+def log_replay_state(log) -> tuple[set, dict]:
+    """A site's replay state derived from its whole log.
+
+    The reference the durability model's per-append state is checked
+    against. Returns the ``(kind, txn, attempt)`` key of every record
+    and the open prepares: txn -> ``(attempt, locks)`` of its latest
+    prepare record, kept only while no decision record for that
+    attempt is in the log.
+    """
+    keys = set()
+    prepared = {}
+    decided = set()
+    for record in log:
+        kind, txn, attempt = record[:3]
+        keys.add((kind, txn, attempt))
+        if kind == "prepare":
+            prepared[txn] = (attempt, record[3])
+        elif kind == "decision":
+            decided.add((txn, attempt))
+    open_prepares = {
+        txn: entry
+        for txn, entry in prepared.items()
+        if (txn, entry[0]) not in decided
+    }
+    return keys, open_prepares
+
+
+def log_implied_locks(sim, site: str) -> set:
+    """``(txn, eid)`` locks ``site``'s whole log implies it retains.
+
+    The open prepares of :func:`log_replay_state`, minus those whose
+    attempt is stale or whose transaction is no longer prepared or
+    committed (presumption releases them).
+    """
+    sid = sim.site_id(site)
+    _keys, open_prepares = log_replay_state(sim.durability.log(site))
+    implied = set()
+    for txn, (attempt, locks) in open_prepares.items():
+        inst = sim.instance(txn)
+        if inst.attempt != attempt or inst.status not in (
+            _PREPARED, _COMMITTED
+        ):
+            continue
+        implied.update((txn, eid) for eid, held in locks if held == sid)
+    return implied
+
+
+def check_presumptions_count_once(sim) -> list:
+    """Wrap ``sim.durability.on_site_recover`` with a counting check.
+
+    Each replay must add exactly its report's ``presumed`` count to
+    ``in_doubt_resolved``: a presumption resolves one in-doubt
+    participant state, even one an interrupted replay left open.
+    Returns the list the wrapper extends with each replay's report.
+    """
+    dur = sim.durability
+    recover = dur.on_site_recover
+    replayed = []
+
+    def checked(site):
+        reports = len(dur.recovery_reports)
+        before = sim.result.in_doubt_resolved
+        recover(site)
+        new = dur.recovery_reports[reports:]
+        presumed = sum(report["presumed"] for report in new)
+        assert sim.result.in_doubt_resolved - before == presumed, site
+        replayed.extend(new)
+
+    dur.on_site_recover = checked
+    return replayed

@@ -15,11 +15,14 @@ import random
 
 import pytest
 
+from repro.core.system import TransactionSystem
 from repro.sim.commit import protocol_names
 from repro.sim.durability import DurabilityConfig
 from repro.sim.network import NetworkConfig
 from repro.sim.runtime import _COMMITTED, SimulationConfig, Simulator
 from repro.sim.workload import WorkloadSpec, random_system
+
+from tests.helpers import check_presumptions_count_once
 
 SPEC = WorkloadSpec(
     n_transactions=8,
@@ -186,6 +189,70 @@ class TestFaultDraws:
         sim.durability.on_site_crash("s0")
         # No log, no draw: the fault stream stays untouched.
         assert sim.durability._rng.getstate() == state
+
+
+def _open_two_phase(**overrides):
+    """An open two-phase run over replicated entities with crashes."""
+    config = dict(
+        arrival_rate=0.5,
+        max_transactions=60,
+        workload=WorkloadSpec(
+            n_entities=16,
+            n_sites=4,
+            entities_per_txn=(2, 3),
+            actions_per_entity=(0, 1),
+            hotspot_skew=0.4,
+            replication_factor=2,
+        ),
+        seed=1,
+        workload_seed=1,
+        network_delay=0.5,
+        commit_protocol="two-phase",
+        replica_protocol="rowa-available",
+        durability=DurabilityConfig(flush_time=FLUSH),
+        failure_rate=0.05,
+        repair_time=1.0,
+    )
+    config.update(overrides)
+    return Simulator(
+        TransactionSystem([]), "wound-wait", SimulationConfig(**config)
+    )
+
+
+class TestPresumption:
+    def test_each_presumed_state_counts_once(self):
+        # Short, frequent outages re-crash sites whose previous replay
+        # left in-doubt entries open. A replay that then presumes such
+        # an entry resolves one participant state: it counts once.
+        sim = _open_two_phase()
+        replayed = check_presumptions_count_once(sim)
+        result = sim.run()
+        assert result.committed == result.total
+        assert len(replayed) == result.log_replays
+        assert any(report["presumed"] for report in replayed)
+
+
+class _UnreadableLog(list):
+    """A log that appends and pops but refuses to be read whole."""
+
+    def __iter__(self):
+        raise AssertionError("the whole log was read")
+
+
+class TestReplayCost:
+    def test_crash_and_recovery_read_no_whole_log(self):
+        # Without disk faults no record is ever dropped, so no crash
+        # or recovery has a reason to read a site's whole log.
+        sim = _open_two_phase(
+            failure_rate=0.02, repair_time=5.0, max_transactions=80
+        )
+        dur = sim.durability
+        for sid in range(len(dur._logs)):
+            dur._logs[sid] = _UnreadableLog()
+        result = sim.run()
+        assert result.crashes > 0
+        assert result.log_replays > 0
+        assert result.committed == result.total
 
 
 def _crash_at_first_durable_prepare(sim):

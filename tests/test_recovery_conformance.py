@@ -15,9 +15,13 @@ Every crashed run must satisfy the recovery invariants:
 * atomicity: every transaction ends committed exactly once, with the
   latency ledgers agreeing — a crash at any force boundary may delay
   but never corrupt the decision;
-* recovery replay is exact: each recovery report's re-acquired lock
-  set equals the log-implied lock set (no lock resurrected without a
-  durable prepare record, none implied by the log left unheld);
+* recovery replay is exact: before each replay the manager's
+  log-implied lock set equals one derived from the site's whole log
+  and the instance states (``tests.helpers.log_implied_locks``), and
+  each recovery report's re-acquired lock set equals the log-implied
+  set (no lock resurrected without a durable prepare record, none
+  implied by the log left unheld);
+* each replay counts one ``in_doubt_resolved`` per presumed entry;
 * in-doubt resolution terminates: the in-doubt set is empty at drain
   and every opened entry was resolved (by decision, status answer, or
   presumption);
@@ -38,6 +42,11 @@ from repro.sim.durability import DurabilityConfig
 from repro.sim.replication import replica_control_names
 from repro.sim.runtime import _COMMITTED, SimulationConfig, Simulator
 from repro.sim.workload import WorkloadSpec, random_system
+
+from tests.helpers import (
+    check_presumptions_count_once,
+    log_implied_locks,
+)
 
 SPEC = WorkloadSpec(
     n_transactions=8,
@@ -122,6 +131,16 @@ def _crash_run(protocol, replica, target, offset):
         orig(site, record, cont, cancel)
 
     dur.force = crashing
+    check_presumptions_count_once(sim)
+    recover = dur.on_site_recover
+
+    def checked_recover(site):
+        assert dur.log_implied_locks(site) == log_implied_locks(
+            sim, site
+        ), (protocol, replica, target, offset, site)
+        recover(site)
+
+    dur.on_site_recover = checked_recover
     result = sim.run()
     assert fired[0] >= target, (protocol, replica, target, offset)
     return sim, result
