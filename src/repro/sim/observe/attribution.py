@@ -69,7 +69,7 @@ summary is marked ``sampled: true`` accordingly.
 
 from __future__ import annotations
 
-from repro.sim.observe.probes import EVENT_TXN_ARG, ProbeSink
+from repro.sim.observe.probes import CELL_KINDS, EVENT_TXN_ARG, ProbeSink
 
 __all__ = [
     "LatencyAttribution",
@@ -89,8 +89,6 @@ SEGMENTS = (
 (
     _ADMISSION, _LOCK, _COORD, _FANOUT, _SERVICE, _COMMIT, _LOGFORCE,
 ) = range(7)
-
-_CELL_KINDS = frozenset({"wait", "unwait", "hold", "unhold"})
 
 
 class _TxnState:
@@ -335,7 +333,7 @@ class LatencyAttribution:
                     # is log-force, not commit, time.
                     self._advance(st, now)
                     st.in_flush += 1
-        elif kind in _CELL_KINDS:
+        elif kind in CELL_KINDS:
             cell = (args[0], args[1])
             txn = args[2]
             if kind == "wait":
@@ -619,22 +617,28 @@ class LatencyAttribution:
 class LatencyAttributor(ProbeSink):
     """The online adapter: a probe sink wrapping the engine.
 
-    At finalize it attaches the summary as ``result.attribution``
-    (a plain dict, so it survives ``to_dict``/``from_json`` and
-    pickling to sweep workers unchanged).
+    Its ``on_probe`` is the engine's :meth:`~LatencyAttribution.feed`
+    itself, so a probe costs no call frame on top of the engine's. At
+    finalize it attaches the summary as ``result.attribution`` (a
+    plain dict, so it survives ``to_dict``/``from_json`` and pickling
+    to sweep workers unchanged).
     """
+
+    #: every kind but ``counter``, which ``feed`` reads nothing from
+    probe_kinds = frozenset({
+        "event", "sched", "wait", "unwait", "hold", "unhold", "arrive",
+        "prepared", "commit", "abort",
+    })
 
     def __init__(self, sample_every: int = 1):
         self.engine = LatencyAttribution(sample_every=sample_every)
+        self.on_probe = self.engine.feed
         self._entity_names: list[str] = []
         self._site_names: list[str] = []
 
     def bind(self, sim) -> None:
         self._entity_names = sim._entity_names
         self._site_names = sim._site_names
-
-    def on_probe(self, kind: str, time: float, args: tuple) -> None:
-        self.engine.feed(kind, time, args)
 
     def finalize(self, sim, result) -> None:
         result.attribution = self.engine.summary(
@@ -670,7 +674,7 @@ def replay_jsonl(records) -> LatencyAttribution:
         t = rec.get("t", 0.0)
         if kind in ("event", "sched"):
             engine.feed(kind, t, (rec["event"], *rec["args"]))
-        elif kind in _CELL_KINDS:
+        elif kind in CELL_KINDS:
             engine.feed(kind, t, (rec["site"], rec["entity"], rec["txn"]))
         elif kind == "abort":
             engine.feed(kind, t, (rec["txn"], rec["attempt"], rec["cause"]))

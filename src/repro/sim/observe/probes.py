@@ -36,15 +36,23 @@ when — it attaches:
   abort entry point was given, emitted before the victim's status
   flips).
 
+Each sink declares the probe kinds it reads
+(:attr:`ProbeSink.probe_kinds`). At attach the hub builds one sink
+tuple per kind, in sink order, and every seam hands a probe to its
+kind's tuple alone; a seam whose kind no sink reads loops over an
+empty tuple.
+
 When 1-in-N transaction sampling is requested (``sample_every > 1``),
 the *sample-aware* sinks (the tracer and the attribution engine) sit
 behind one filter sink that withholds the per-transaction probes of
 unsampled transactions, while global probes — counters, detector and
 crash events — and every ``abort`` / ``prepared`` / ``commit`` probe
 still flow, keeping the per-cause abort counts and the
-blocked-on-coordinator classification exact. Whole-stream consumers
-(the metrics sampler, the flight recorder, custom sinks) always see
-everything.
+blocked-on-coordinator classification exact. The filter reads the
+union of its sinks' kinds and hands a kept probe only to those that
+read it. Whole-stream consumers (the metrics sampler, the flight
+recorder, custom sinks) always see every probe of the kinds they
+read.
 
 With ``config.observe`` unset nothing attaches: the per-event seams
 run unwrapped and the probe slot stays ``None``. The transparency
@@ -95,10 +103,13 @@ class ObserveConfig:
     sample_every: int = 1
 
     def __post_init__(self):
-        if self.sample_every < 1:
-            raise ValueError(
-                f"sample_every must be >= 1, got {self.sample_every}"
-            )
+        for name in (
+            "trace_capacity", "flight_events", "flight_cascade_threshold",
+            "sample_every",
+        ):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
     @property
     def enabled(self) -> bool:
@@ -142,7 +153,17 @@ class ProbeSink:
     other ``net_*`` kinds); the protocol payload a ``net_deliver``
     carries is dispatched — and probed — as its own event at delivery
     time.
+
+    ``probe_kinds`` names the kinds ``on_probe`` reads, as a frozenset
+    of the names above; the hub delivers only those, in stream order.
+    ``None``, the default, receives every kind. A declaration is a
+    promise: a sink that reads a kind it did not declare silently
+    misses it. ``tests/test_observe.py::TestDeclaredKinds`` holds the
+    stock sinks to theirs by feeding each the whole stream and only
+    its declared kinds, and comparing the outputs.
     """
+
+    probe_kinds: frozenset[str] | None = None
 
     def bind(self, sim) -> None:
         """Called once at attach time with the simulator."""
@@ -176,6 +197,26 @@ EVENT_TXN_ARG = {
 #: blocked-on-coordinator holder classification exact.
 _SAMPLE_ALWAYS = frozenset({"counter", "abort", "prepared", "commit"})
 
+#: every probe kind, in the order of the :class:`ProbeSink` table
+PROBE_KINDS = (
+    "event", "sched", "wait", "unwait", "hold", "unhold", "counter",
+    "arrive", "prepared", "commit", "abort",
+)
+
+#: the lock-cell probe kinds, all four carrying ``(sid, eid, txn)``
+CELL_KINDS = frozenset({"wait", "unwait", "hold", "unhold"})
+
+
+def _routes(sinks) -> dict[str, tuple]:
+    """One tuple per probe kind: the sinks that read it, in order."""
+    return {
+        kind: tuple(
+            sink for sink in sinks
+            if sink.probe_kinds is None or kind in sink.probe_kinds
+        )
+        for kind in PROBE_KINDS
+    }
+
 
 class _SampleFilter(ProbeSink):
     """1-in-N transaction sampling in front of sample-aware sinks."""
@@ -183,6 +224,11 @@ class _SampleFilter(ProbeSink):
     def __init__(self, sinks: list[ProbeSink], every: int):
         self.sinks = tuple(sinks)
         self.every = every
+        kinds = [sink.probe_kinds for sink in self.sinks]
+        self.probe_kinds = (
+            None if None in kinds else frozenset().union(*kinds)
+        )
+        self._routes = _routes(self.sinks)
 
     def bind(self, sim) -> None:
         for sink in self.sinks:
@@ -199,7 +245,7 @@ class _SampleFilter(ProbeSink):
         else:  # cell probes: (sid, eid, txn)
             keep = args[2] % self.every == 0
         if keep:
-            for sink in self.sinks:
+            for sink in self._routes[kind]:
                 sink.on_probe(kind, time, args)
 
     def finalize(self, sim, result) -> None:
@@ -262,6 +308,9 @@ class ObserverHub:
         ] + aware
         self._sinks.extend(extra_sinks)
         self._attached = False
+        #: probe kind -> the sinks that read it, in ``_sinks`` order;
+        #: built at attach
+        self._routes: dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
     # emission
@@ -269,7 +318,7 @@ class ObserverHub:
 
     def _emit(self, kind: str, args: tuple) -> None:
         t = self.sim._now
-        for sink in self._sinks:
+        for sink in self._routes[kind]:
             sink.on_probe(kind, t, args)
 
     # ------------------------------------------------------------------
@@ -277,20 +326,28 @@ class ObserverHub:
     # ------------------------------------------------------------------
 
     def attach(self) -> None:
-        """Install every probe on the simulator (idempotent)."""
+        """Install every probe on the simulator (idempotent).
+
+        Every route looks ``sink.on_probe`` up at each call, so a
+        wrapper installed on a sink after attach still sees its
+        probes.
+        """
         if self._attached:
             return
         self._attached = True
         sim = self.sim
         for sink in self._sinks:
             sink.bind(sim)
-        sinks = tuple(self._sinks)
+        self._routes = _routes(self._sinks)
 
         # 1. Per-event probe through the registry's dispatch seam.
         registry = sim._registry
         handlers = registry._handlers  # shared dict; grows in place
 
-        def dispatch(payload, _handlers=handlers, _sinks=sinks, _sim=sim):
+        def dispatch(
+            payload, _handlers=handlers, _sinks=self._routes["event"],
+            _sim=sim,
+        ):
             now = _sim._now
             for sink in _sinks:
                 sink.on_probe("event", now, payload)

@@ -34,6 +34,10 @@ __all__ = ["MetricsSampler"]
 class MetricsSampler(ProbeSink):
     """Windowed gauges and rates over simulated time."""
 
+    probe_kinds = frozenset(
+        {"event", "wait", "unwait", "arrive", "commit", "abort"}
+    )
+
     def __init__(self, window: float, warmup_time: float = 0.0):
         if window <= 0:
             raise ValueError("metrics window must be positive")

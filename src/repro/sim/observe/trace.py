@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 
-from repro.sim.observe.probes import ProbeSink
+from repro.sim.observe.probes import CELL_KINDS, ProbeSink
 
 __all__ = [
     "EventTracer",
@@ -34,8 +34,6 @@ __all__ = [
     "load_trace",
     "summarize_trace",
 ]
-
-_CELL_KINDS = frozenset({"wait", "unwait", "hold", "unhold"})
 
 
 def iter_formatted(records, entity_names, site_names):
@@ -48,7 +46,7 @@ def iter_formatted(records, entity_names, site_names):
                 "event": args[0],
                 "args": list(args[1:]),
             }
-        elif kind in _CELL_KINDS:
+        elif kind in CELL_KINDS:
             sid, eid, txn = args
             yield {
                 "t": time,
@@ -74,11 +72,23 @@ def iter_formatted(records, entity_names, site_names):
 
 
 class EventTracer(ProbeSink):
-    """Bounded ring buffer of probe records."""
+    """Bounded ring buffer of probe records.
+
+    The ring is flat: one record takes three consecutive slots —
+    time, kind, args — appended one at a time, so keeping it costs 24
+    bytes of ring and no object of its own. (A ``(time, kind, args)``
+    tuple per record would cost 72 bytes and one more object for the
+    garbage collector to track and, once the ring has aged into the
+    oldest generation, to traverse at every full collection.) The ring's
+    bound is a multiple of three, so eviction drops whole records. The
+    args tuple is the one the probe carried; the time float is shared
+    by every record of one instant.
+    """
 
     def __init__(self, capacity: int = 65536):
         self.capacity = capacity
-        self._ring: deque = deque(maxlen=capacity)
+        self._ring: deque = deque(maxlen=3 * capacity)
+        self._append = self._ring.append
         self.total = 0  # records ever seen (dropped = total - len)
         self._entity_names: list[str] = []
         self._site_names: list[str] = []
@@ -89,7 +99,10 @@ class EventTracer(ProbeSink):
 
     def on_probe(self, kind: str, time: float, args: tuple) -> None:
         self.total += 1
-        self._ring.append((time, kind, args))
+        append = self._append
+        append(time)
+        append(kind)
+        append(args)
 
     def finalize(self, sim, result) -> None:
         pass
@@ -99,17 +112,24 @@ class EventTracer(ProbeSink):
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return len(self._ring) // 3
 
     @property
     def dropped(self) -> int:
         """Records evicted by the ring bound."""
-        return self.total - len(self._ring)
+        return self.total - len(self)
+
+    def _records(self):
+        """The retained ``(time, kind, args)`` records, oldest first."""
+        it = iter(self._ring)
+        return zip(it, it, it)
 
     def records(self) -> list[dict]:
         """The retained records as formatted dicts, oldest first."""
         return list(
-            iter_formatted(self._ring, self._entity_names, self._site_names)
+            iter_formatted(
+                self._records(), self._entity_names, self._site_names
+            )
         )
 
     def export_jsonl(self, path: str) -> int:
@@ -117,7 +137,7 @@ class EventTracer(ProbeSink):
         n = 0
         with open(path, "w", encoding="utf-8") as fh:
             for record in iter_formatted(
-                self._ring, self._entity_names, self._site_names
+                self._records(), self._entity_names, self._site_names
             ):
                 fh.write(json.dumps(record, separators=(",", ":")))
                 fh.write("\n")
@@ -134,7 +154,7 @@ class EventTracer(ProbeSink):
             "traceEvents": events,
             "displayTimeUnit": "ms",
             "otherData": {
-                "recorded": len(self._ring),
+                "recorded": len(self),
                 "dropped": self.dropped,
             },
         }
@@ -199,7 +219,7 @@ class EventTracer(ProbeSink):
             events.append(ev)
 
         for rec in iter_formatted(
-            self._ring, self._entity_names, site_names
+            self._records(), self._entity_names, site_names
         ):
             t = rec["t"]
             last_time = t if t > last_time else last_time

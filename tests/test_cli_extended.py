@@ -242,6 +242,12 @@ class TestUsageErrors:
             (["simulate", *OPEN, "--flush-time", "-1"], "flush_time"),
             (["sweep", "--serial", "--flush-time", "-1"], "flush_time"),
             (["sweep", "--serial", "--loss-rates", "1.5"], "loss_rate"),
+            (["simulate", *OPEN, "--trace-out", "T.json",
+              "--trace-capacity", "-1"], "trace_capacity"),
+            (["simulate", *OPEN, "--flight-recorder", "F",
+              "--flight-events", "-3"], "flight_events"),
+            (["simulate", *OPEN, "--flight-recorder", "F",
+              "--flight-cascade", "0"], "flight_cascade_threshold"),
         ],
     )
     def test_config_range_errors(

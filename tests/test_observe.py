@@ -15,6 +15,7 @@ from repro.sim import (
     DurabilityConfig,
     ObserveConfig,
     ObserverHub,
+    ProbeSink,
     SimulationConfig,
     Simulator,
 )
@@ -63,6 +64,16 @@ class TestObserveConfig:
 
         with pytest.raises(ValueError, match="window"):
             MetricsSampler(0.0)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["trace_capacity", "flight_events", "flight_cascade_threshold"],
+    )
+    def test_sizes_and_thresholds_must_be_positive(self, field):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match=field):
+                ObserveConfig(**{field: bad})
+        assert getattr(ObserveConfig(**{field: 1}), field) == 1
 
 
 class TestEventTracer:
@@ -456,6 +467,108 @@ class TestProbeStreamGolden:
         }
         assert not shadows & set(vars(sim))
         assert sink.types == {SimulationResult}
+
+
+class _Recorder(ProbeSink):
+    """Appends ``(name, kind, time, args)`` to a shared log per probe."""
+
+    def __init__(self, log, name="recorder", probe_kinds=None):
+        self.log = log
+        self.name = name
+        self.probe_kinds = probe_kinds
+
+    def on_probe(self, kind, time, args):
+        self.log.append((self.name, kind, time, args))
+
+
+def _run_with_sinks(case, sinks):
+    system, policy, config = _stream_case(case, None)
+    sim = Simulator(system, policy, config)
+    hub = ObserverHub(sim, ObserveConfig(), sinks)
+    hub.attach()
+    sim.observe = hub
+    return sim, sim.run()
+
+
+class TestDeclaredKinds:
+    """A stock sink reads only the probe kinds it declares: fed the
+    whole recorded stream, or only its declared kinds, it ends with
+    the same output."""
+
+    @pytest.mark.parametrize("case", sorted(TestProbeStreamGolden.GOLDEN))
+    def test_stock_sinks_read_only_their_kinds(self, case):
+        from repro.sim.observe import LatencyAttributor, MetricsSampler
+        from repro.sim.observe.probes import _SampleFilter
+
+        log = []
+        sim, _ = _run_with_sinks(case, [_Recorder(log)])
+        if case == "sampled":
+            # The 1-in-4 view the hub's filter gives sample-aware sinks.
+            stream, log = log, []
+            front = _SampleFilter([_Recorder(log)], 4)
+            for _, kind, t, args in stream:
+                front.on_probe(kind, t, args)
+        stream = [(kind, t, args) for _, kind, t, args in log]
+        seen = {kind for kind, _, _ in stream}
+
+        def fed(sink, kinds):
+            for kind, t, args in stream:
+                if kinds is None or kind in kinds:
+                    sink.on_probe(kind, t, args)
+            return sink
+
+        def sampler():
+            sink = MetricsSampler(5.0, sim.config.warmup_time)
+            sink.bind(sim)
+            return sink
+
+        for make, output in (
+            (sampler, lambda sink: sink.series()),
+            (LatencyAttributor, lambda sink: sink.engine.summary()),
+        ):
+            declared = make().probe_kinds
+            assert seen - declared  # the stream holds undeclared kinds
+            everything = output(fed(make(), None))
+            assert everything == output(fed(make(), declared))
+            assert everything
+
+
+class TestRouting:
+    def test_sink_gets_only_its_kinds(self):
+        """A sink that reads only commits and aborts gets exactly
+        those, and observing the run leaves its digest unchanged."""
+        from tests.test_observe_transparency import digest_fields
+
+        plain = Simulator(*_stream_case("wound-wait", None)).run()
+        log = []
+        _, result = _run_with_sinks("wound-wait", [
+            _Recorder(log, probe_kinds=frozenset({"commit", "abort"})),
+        ])
+        kinds = [kind for _, kind, _, _ in log]
+        assert kinds.count("commit") == result.committed
+        assert kinds.count("abort") == result.aborts > 0
+        assert set(kinds) == {"commit", "abort"}
+        assert digest_fields(result) == digest_fields(plain)
+
+    def test_each_probe_reaches_its_sinks_in_attach_order(self):
+        log = []
+        sinks = [
+            _Recorder(log, "a", frozenset({"commit", "wait", "counter"})),
+            _Recorder(log, "all"),
+            _Recorder(log, "b", frozenset({"wait", "abort", "sched"})),
+            _Recorder(log, "c", frozenset({"event", "commit"})),
+        ]
+        _run_with_sinks("chaos", sinks)
+        # "all" sees the whole stream; every probe must reach the sinks
+        # that read its kind one after another, in attach order.
+        expected = [
+            (sink.name, kind, t, args)
+            for name, kind, t, args in log if name == "all"
+            for sink in sinks
+            if sink.probe_kinds is None or kind in sink.probe_kinds
+        ]
+        assert log == expected
+        assert {name for name, *_ in log} == {"a", "all", "b", "c"}
 
 
 class TestCli:
