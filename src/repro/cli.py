@@ -41,8 +41,10 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
+import typing
 
 from repro.io.textfmt import parse_system
 
@@ -158,21 +160,58 @@ def _cmd_deadlock(args: argparse.Namespace) -> int:
     return 1
 
 
-def _workload_spec(args: argparse.Namespace):
-    from repro.sim.workload import WorkloadSpec
+def _add_fields(group, cls, flags: dict, **cli_defaults) -> None:
+    """Declare one flag per entry of ``flags``, each setting the field
+    of the config dataclass ``cls`` that the entry's key names.
 
-    return WorkloadSpec(
-        n_transactions=args.batch,
-        n_entities=args.entities,
-        n_sites=args.sites,
-        entities_per_txn=tuple(args.entities_per_txn),
-        actions_per_entity=tuple(args.actions_per_entity),
-        cross_arc_p=args.cross_arc_p,
-        shape=args.shape,
-        hotspot_skew=args.hotspot_skew,
-        read_fraction=args.read_fraction,
-        replication_factor=args.replication,
-    )
+    An entry maps the field to its help text, or to ``(help, extras)``
+    where ``extras`` are more ``add_argument`` keywords, plus ``flag``
+    to rename the flag from ``--field-name``. The flag's type, number
+    of values and default come from the field: ``tuple[int, int]``
+    takes two values, ``tuple[float, ...]`` one or more, and a bare
+    ``tuple`` takes its type from ``extras``. ``cli_defaults`` names
+    the defaults the CLI sets differently from the library.
+    """
+    hints = typing.get_type_hints(cls)
+    for name, entry in flags.items():
+        help_text, extras = entry if isinstance(entry, tuple) else (entry, {})
+        extras = dict(extras)
+        flag = "--" + name.replace("_", "-")
+        if "flag" in extras:  # a renamed flag keeps its own metavar
+            flag = extras.pop("flag")
+            extras.setdefault("metavar", flag[2:].upper().replace("-", "_"))
+        hint = hints[name]
+        if typing.get_origin(hint) is tuple:
+            kinds = typing.get_args(hint)
+            nargs = "+" if kinds[-1] is Ellipsis else len(kinds)
+            derived = {"type": kinds[0], "nargs": nargs}
+        else:
+            derived = {"type": hint} if hint in (int, float, str) else {}
+        # A dataclass keeps each field's default as a class attribute;
+        # argparse appends to, and parses into, lists.
+        default = cli_defaults.get(name, getattr(cls, name))
+        if isinstance(default, tuple):
+            default = list(default)
+        group.add_argument(
+            flag, dest=name, default=default, help=help_text,
+            **{**derived, **extras},
+        )
+
+
+def _config(cls, args: argparse.Namespace, **overrides):
+    """The config dataclass ``cls`` built from the parsed flags: every
+    field a flag sets, unless ``overrides`` sets it, with lists made
+    tuples."""
+    values = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(cls)
+        if hasattr(args, field.name)
+    }
+    values.update(overrides)
+    return cls(**{
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in values.items()
+    })
 
 
 def _observe_config(args: argparse.Namespace, suffix: str = ""):
@@ -199,15 +238,16 @@ def _observe_config(args: argparse.Namespace, suffix: str = ""):
     flight = args.flight_recorder
     if flight:
         flight = _suffixed(flight, suffix)
-    return ObserveConfig(
+    # --flight-recorder and --attribution carry their fields' names, but
+    # the field takes the run's suffixed directory, and --attribution-out
+    # turns attribution on too.
+    return _config(
+        ObserveConfig,
+        args,
         trace=want_trace,
-        trace_capacity=args.trace_capacity,
         metrics_window=args.metrics_window if args.metrics_out else 0.0,
         flight_recorder=flight,
-        flight_events=args.flight_events,
-        flight_cascade_threshold=args.flight_cascade,
         attribution=want_attribution,
-        sample_every=args.trace_sample,
     )
 
 
@@ -272,143 +312,21 @@ def _parse_partition_episode(text: str):
     return (start, duration, tuple(parts[2].split(",")))
 
 
-def _network_config(args: argparse.Namespace):
-    """Build a NetworkConfig from CLI flags (None when all inert)."""
-    from repro.sim.network import NetworkConfig
-
-    config = NetworkConfig(
-        loss_rate=args.loss_rate,
-        dup_rate=args.dup_rate,
-        jitter=args.jitter,
-        partition_rate=args.partition_rate,
-        partition_duration=args.partition_duration,
-        partition_schedule=tuple(args.partition_at or ()),
-        retransmit_timeout=args.retransmit_timeout,
-    )
-    return config if config.enabled else None
-
-
-def _add_network_args(p: argparse.ArgumentParser) -> None:
-    net = p.add_argument_group(
-        "network chaos",
-        "adversarial-network injection; all-default flags attach "
-        "nothing and replay the perfect-network run bit for bit",
-    )
-    net.add_argument(
-        "--loss-rate",
-        type=float,
-        default=0.0,
-        help="i.i.d. drop probability per message copy",
-    )
-    net.add_argument(
-        "--dup-rate",
-        type=float,
-        default=0.0,
-        help="probability a delivered message is duplicated in flight",
-    )
-    net.add_argument(
-        "--jitter",
-        type=float,
-        default=0.0,
-        help="per-copy delay jitter, uniform in [0, JITTER]",
-    )
-    net.add_argument(
-        "--partition-rate",
-        type=float,
-        default=0.0,
-        help="Poisson arrival rate of random partition episodes",
-    )
-    net.add_argument(
-        "--partition-duration",
-        type=float,
-        default=20.0,
-        help="duration of each Poisson-arriving partition episode",
-    )
-    net.add_argument(
-        "--partition-at",
-        type=_parse_partition_episode,
-        action="append",
-        metavar="START:DURATION:SITES",
-        help="scripted partition episode cutting SITES (comma-"
-        "separated) off the rest; repeatable",
-    )
-    net.add_argument(
-        "--retransmit-timeout",
-        type=float,
-        default=2.0,
-        help="first retransmission deadline of an unacked message "
-        "(doubles per retry, capped)",
-    )
-
-
-def _durability_config(args: argparse.Namespace):
-    """Build a DurabilityConfig from CLI flags (None when unset).
-
-    ``--flush-time`` is the enabling flag: leaving it unset attaches
-    no durability model, keeping the no-flag run bit-identical to the
-    idealized-WAL simulator.
-    """
-    if args.flush_time is None:
-        return None
-    from repro.sim.durability import DurabilityConfig
-
-    return DurabilityConfig(
-        flush_time=args.flush_time,
-        tail_loss_rate=args.tail_loss_rate,
-        torn_write_rate=args.torn_write_rate,
-        amnesia_rate=args.amnesia_rate,
-    )
-
-
-def _add_durability_args(p: argparse.ArgumentParser) -> None:
-    dur = p.add_argument_group(
-        "durability",
-        "simulated write-ahead logging; without --flush-time no "
-        "durability model attaches and PREPARED state survives "
-        "crashes by fiat (the legacy idealization)",
-    )
-    dur.add_argument(
-        "--flush-time",
-        type=float,
-        default=None,
-        metavar="T",
-        help="cost of one forced log write; giving this flag attaches "
-        "the durability model (crashes then truncate each site to its "
-        "log and recovery replays it)",
-    )
-    dur.add_argument(
-        "--tail-loss-rate",
-        type=float,
-        default=0.0,
-        help="probability a crash silently drops the newest durable "
-        "log record",
-    )
-    dur.add_argument(
-        "--torn-write-rate",
-        type=float,
-        default=0.0,
-        help="probability the record being flushed at crash time is "
-        "torn (lost even though the flush completed)",
-    )
-    dur.add_argument(
-        "--amnesia-rate",
-        type=float,
-        default=0.0,
-        help="probability a crash wipes the whole log; the site "
-        "rejoins as a fresh replica via anti-entropy catch-up",
-    )
-
-
 def _add_run_args(
-    p: argparse.ArgumentParser, policies: list[str]
+    p: argparse.ArgumentParser, policies: list[str], **cli_defaults
 ) -> None:
-    """Run flags shared by simulate and sweep, durability included.
+    """Run flags shared by simulate and sweep, workload and durability
+    included; ``cli_defaults`` are the subcommand's own
+    SimulationConfig defaults.
 
     Choices come from the policy and commit-protocol registries, so a
     registered name is accepted without a CLI edit.
     """
     from repro.sim.commit import protocol_names
+    from repro.sim.durability import DurabilityConfig
     from repro.sim.policies import policy_names
+    from repro.sim.runtime import SimulationConfig
+    from repro.sim.workload import SHAPES, WorkloadSpec
 
     p.add_argument(
         "--policies",
@@ -424,62 +342,119 @@ def _add_run_args(
         choices=protocol_names(),
         help="atomic-commit protocol(s) to run each policy under",
     )
-    p.add_argument("--max-time", type=float, default=100_000.0)
-    p.add_argument("--network-delay", type=float, default=0.0)
-    p.add_argument(
-        "--commit-timeout",
-        type=float,
-        default=6.0,
-        help="vote-collection/retry period of the 2PC protocols",
+    _add_fields(p, SimulationConfig, {
+        "max_time": None,
+        "network_delay": None,
+        "commit_timeout": "vote-collection/retry period of the 2PC protocols",
+        "commit_fault_tolerance": (
+            "failures Paxos Commit masks: 2F+1 acceptor sites per "
+            "round (F=0 degenerates to 2PC; other protocols ignore it)",
+            {"metavar": "F"},
+        ),
+        "repair_time": "mean downtime of a crashed site",
+        "catchup_time": (
+            "anti-entropy scan period of recovering rowa-available "
+            "sites (no reads served until a copy validates)"
+        ),
+        "max_transactions": (
+            "stop injecting after this many arrivals (0 = unbounded; "
+            "--max-time then limits the run)"
+        ),
+        "warmup_time": (
+            "steady-state measurement starts here; earlier commits "
+            "and in-flight time are warm-up",
+            {"flag": "--warmup"},
+        ),
+        "workload_seed": (
+            "seed of the generated schema/workload (separate from "
+            "--seed so replicates stress the same database)"
+        ),
+    }, **cli_defaults)
+    _add_fields(p, WorkloadSpec, {
+        "n_transactions": (
+            "closed-batch size when the workload is generated "
+            "(sweep cells with arrival rate 0)",
+            {"flag": "--batch"},
+        ),
+        "n_entities": ("generated entity pool", {"flag": "--entities"}),
+        "n_sites": ("sites the pool spreads over", {"flag": "--sites"}),
+        "entities_per_txn": (
+            "entities accessed per generated transaction",
+            {"metavar": ("LO", "HI")},
+        ),
+        "actions_per_entity": (
+            "A-steps per accessed entity", {"metavar": ("LO", "HI")}
+        ),
+        "cross_arc_p": "probability of each admissible extra cross-site arc",
+        "shape": (
+            "locking style of generated transactions", {"choices": SHAPES}
+        ),
+        "hotspot_skew": (
+            "0 = uniform entity choice; larger concentrates accesses"
+        ),
+        "read_fraction": (
+            "probability an accessed entity is only read (shared "
+            "locks); 0 keeps the paper's all-exclusive model"
+        ),
+        "replication_factor": (
+            "replica copies per entity (clamped to the site count); "
+            "1 is the paper's single-copy model",
+            {"flag": "--replication", "metavar": "FACTOR"},
+        ),
+    }, n_transactions=8, n_entities=16, n_sites=4)
+    dur = p.add_argument_group(
+        "durability",
+        "simulated write-ahead logging; without --flush-time no "
+        "durability model attaches and PREPARED state survives "
+        "crashes by fiat (the legacy idealization)",
     )
-    p.add_argument(
-        "--commit-fault-tolerance",
-        type=int,
-        default=1,
-        metavar="F",
-        help="failures Paxos Commit masks: 2F+1 acceptor sites per "
-        "round (F=0 degenerates to 2PC; other protocols ignore it)",
-    )
-    p.add_argument(
-        "--repair-time",
-        type=float,
-        default=10.0,
-        help="mean downtime of a crashed site",
-    )
-    p.add_argument(
-        "--catchup-time",
-        type=float,
-        default=6.0,
-        help="anti-entropy scan period of recovering rowa-available "
-        "sites (no reads served until a copy validates)",
-    )
-    _add_durability_args(p)
+    _add_fields(dur, DurabilityConfig, {
+        "flush_time": (
+            "cost of one forced log write; giving this flag attaches "
+            "the durability model (crashes then truncate each site to its "
+            "log and recovery replays it)",
+            {"metavar": "T"},
+        ),
+        "tail_loss_rate": (
+            "probability a crash silently drops the newest durable "
+            "log record"
+        ),
+        "torn_write_rate": (
+            "probability the record being flushed at crash time is "
+            "torn (lost even though the flush completed)"
+        ),
+        "amnesia_rate": (
+            "probability a crash wipes the whole log; the site "
+            "rejoins as a fresh replica via anti-entropy catch-up"
+        ),
+    }, flush_time=None)
 
 
 def _run_config(args: argparse.Namespace, **overrides):
-    """The SimulationConfig of the shared run and open-system flags,
-    with ``overrides`` for the fields a subcommand sets itself."""
+    """The SimulationConfig of the run flags, with ``overrides`` for
+    the fields a subcommand sets itself.
+
+    ``--flush-time`` is the enabling flag of the durability model:
+    leaving it unset attaches none, keeping the no-flag run
+    bit-identical to the idealized-WAL simulator.
+    """
+    from repro.sim.durability import DurabilityConfig
     from repro.sim.runtime import SimulationConfig
 
-    return SimulationConfig(
-        max_time=args.max_time,
-        network_delay=args.network_delay,
-        commit_timeout=args.commit_timeout,
-        commit_fault_tolerance=args.commit_fault_tolerance,
-        repair_time=args.repair_time,
-        catchup_time=args.catchup_time,
-        max_transactions=args.max_transactions,
-        warmup_time=args.warmup,
-        workload_seed=args.workload_seed,
-        durability=_durability_config(args),
-        **overrides,
+    durability = None
+    if args.flush_time is not None:
+        durability = _config(DurabilityConfig, args)
+    return _config(
+        SimulationConfig, args, durability=durability, **overrides
     )
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.core.system import TransactionSystem
     from repro.sim.metrics import SimulationResult
+    from repro.sim.network import NetworkConfig
     from repro.sim.runtime import Simulator
+    from repro.sim.workload import WorkloadSpec
 
     open_system = args.arrival_rate > 0
     if args.file is None and not open_system:
@@ -488,35 +463,34 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     if args.metrics_window <= 0:
         return _usage_error("simulate", "--metrics-window must be > 0")
+    if args.runs < 1:
+        return _usage_error("simulate", "--runs must be >= 1")
     system = (
         _load_system(args.file) if args.file else TransactionSystem([])
     )
-    runs = max(1, args.runs)
     grid = len(args.policies) * len(args.commit) > 1
     results = []
     for policy in args.policies:
         for protocol in args.commit:
-            for run in range(runs):
+            for run in range(args.runs):
                 parts = []
                 if grid:
                     parts.append(f"{policy}-{protocol}")
-                if runs > 1:
+                if args.runs > 1:
                     parts.append(f"run{run}")
                 suffix = "-".join(parts)
                 try:
+                    network = _config(NetworkConfig, args)
                     config = _run_config(
                         args,
                         seed=args.seed + run,
                         commit_protocol=protocol,
-                        failure_rate=args.failure_rate,
-                        replica_protocol=args.replica_protocol,
-                        arrival_rate=args.arrival_rate,
                         # The workload spec also carries the
                         # replication factor, so closed-batch (FILE)
                         # runs need it too.
-                        workload=_workload_spec(args),
+                        workload=_config(WorkloadSpec, args),
                         observe=_observe_config(args, suffix),
-                        network=_network_config(args),
+                        network=network if network.enabled else None,
                     )
                 except ValueError as exc:  # a config class's range check
                     return _usage_error("simulate", exc)
@@ -546,9 +520,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         write_csv,
         write_json,
     )
+    from repro.sim.network import NetworkConfig
     from repro.sim.observe import ObserveConfig
+    from repro.sim.workload import WorkloadSpec
     from repro.util.render import format_table
 
+    if args.processes is not None and args.processes < 1:
+        return _usage_error("sweep", "--processes must be >= 1")
     chaos = any(r > 0 for r in args.loss_rates) or any(
         r > 0 for r in args.partition_rates
     )
@@ -559,25 +537,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 metrics_window=args.cell_metrics,
                 attribution=args.cell_attribution,
             )
-        network = None
-        if chaos:
-            from repro.sim.network import NetworkConfig
-
-            # The template every chaos cell derives from (its loss and
-            # partition rates are overridden per cell).
-            network = NetworkConfig(
-                partition_duration=args.partition_duration
-            )
-        spec = SweepSpec(
-            policies=tuple(args.policies),
-            protocols=tuple(args.commit),
-            replica_protocols=tuple(args.replica_protocols),
-            arrival_rates=tuple(args.arrival_rates),
-            failure_rates=tuple(args.failure_rates),
-            loss_rates=tuple(args.loss_rates),
-            partition_rates=tuple(args.partition_rates),
-            seeds=tuple(args.seeds),
-            workload=_workload_spec(args),
+        # The template every chaos cell derives from (its loss and
+        # partition rates are overridden per cell).
+        network = _config(NetworkConfig, args) if chaos else None
+        spec = _config(
+            SweepSpec,
+            args,
+            protocols=args.commit,
+            workload=_config(WorkloadSpec, args),
             # The cells take their workload from the spec:
             # base.workload stays unset.
             base=_run_config(args, observe=observe, network=network),
@@ -771,107 +738,12 @@ def _cmd_figures(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_open_system_args(
-    p: argparse.ArgumentParser,
-    max_transactions_default: int = 0,
-    single_rate: bool = True,
-) -> None:
-    """Open-system and workload-generation flags (simulate, sweep)."""
-    if single_rate:  # sweep takes --arrival-rates as a grid axis instead
-        p.add_argument(
-            "--arrival-rate",
-            type=float,
-            default=0.0,
-            help="open-system arrival rate (transactions per unit "
-            "time); 0 replays FILE as a closed batch",
-        )
-    p.add_argument(
-        "--max-transactions",
-        type=int,
-        default=max_transactions_default,
-        help="stop injecting after this many arrivals (0 = unbounded; "
-        "--max-time then limits the run)",
-    )
-    p.add_argument(
-        "--warmup",
-        type=float,
-        default=0.0,
-        help="steady-state measurement starts here; earlier commits "
-        "and in-flight time are warm-up",
-    )
-    p.add_argument(
-        "--workload-seed",
-        type=int,
-        default=0,
-        help="seed of the generated schema/workload (separate from "
-        "--seed so replicates stress the same database)",
-    )
-    p.add_argument(
-        "--batch",
-        type=int,
-        default=8,
-        help="closed-batch size when the workload is generated "
-        "(sweep cells with arrival rate 0)",
-    )
-    p.add_argument(
-        "--entities", type=int, default=16, help="generated entity pool"
-    )
-    p.add_argument(
-        "--sites", type=int, default=4, help="sites the pool spreads over"
-    )
-    p.add_argument(
-        "--entities-per-txn",
-        nargs=2,
-        type=int,
-        default=[2, 4],
-        metavar=("LO", "HI"),
-        help="entities accessed per generated transaction",
-    )
-    p.add_argument(
-        "--actions-per-entity",
-        nargs=2,
-        type=int,
-        default=[0, 1],
-        metavar=("LO", "HI"),
-        help="A-steps per accessed entity",
-    )
-    p.add_argument(
-        "--cross-arc-p",
-        type=float,
-        default=0.25,
-        help="probability of each admissible extra cross-site arc",
-    )
-    p.add_argument(
-        "--shape",
-        default="random",
-        choices=["random", "two_phase", "sequential", "ordered_2pl"],
-        help="locking style of generated transactions",
-    )
-    p.add_argument(
-        "--hotspot-skew",
-        type=float,
-        default=0.0,
-        help="0 = uniform entity choice; larger concentrates accesses",
-    )
-    p.add_argument(
-        "--read-fraction",
-        type=float,
-        default=0.0,
-        help="probability an accessed entity is only read (shared "
-        "locks); 0 keeps the paper's all-exclusive model",
-    )
-    p.add_argument(
-        "--replication",
-        type=int,
-        default=1,
-        metavar="FACTOR",
-        help="replica copies per entity (clamped to the site count); "
-        "1 is the paper's single-copy model",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments import SweepSpec
+    from repro.sim.network import NetworkConfig
+    from repro.sim.observe import ObserveConfig
     from repro.sim.replication import replica_control_names
+    from repro.sim.runtime import SimulationConfig
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -931,7 +803,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--arrival-rate generates the traffic)",
     )
     _add_run_args(p, ["blocking", "wound-wait", "wait-die", "detect"])
-    p.add_argument("--seed", type=int, default=0)
+    _add_fields(p, SimulationConfig, {
+        "seed": None,
+        "failure_rate": (
+            "per-site crash rate (crashes per unit time); 0 disables "
+            "fault injection"
+        ),
+        "replica_protocol": (
+            "replica-control protocol routing reads/writes over the "
+            "--replication copies",
+            {"choices": replica_control_names()},
+        ),
+        "arrival_rate": (
+            "open-system arrival rate (transactions per unit "
+            "time); 0 replays FILE as a closed batch"
+        ),
+    })
     p.add_argument(
         "--runs",
         type=int,
@@ -940,22 +827,38 @@ def build_parser() -> argparse.ArgumentParser:
         "(seeds SEED..SEED+N-1); observability outputs gain a -runK "
         "suffix so no replicate overwrites another",
     )
-    p.add_argument(
-        "--failure-rate",
-        type=float,
-        default=0.0,
-        help="per-site crash rate (crashes per unit time); 0 disables "
-        "fault injection",
+    net = p.add_argument_group(
+        "network chaos",
+        "adversarial-network injection; all-default flags attach "
+        "nothing and replay the perfect-network run bit for bit",
     )
-    p.add_argument(
-        "--replica-protocol",
-        default="rowa",
-        choices=replica_control_names(),
-        help="replica-control protocol routing reads/writes over the "
-        "--replication copies",
-    )
-    _add_network_args(p)
-    _add_open_system_args(p)
+    _add_fields(net, NetworkConfig, {
+        "loss_rate": "i.i.d. drop probability per message copy",
+        "dup_rate": (
+            "probability a delivered message is duplicated in flight"
+        ),
+        "jitter": "per-copy delay jitter, uniform in [0, JITTER]",
+        "partition_rate": (
+            "Poisson arrival rate of random partition episodes"
+        ),
+        "partition_duration": (
+            "duration of each Poisson-arriving partition episode"
+        ),
+        "partition_schedule": (
+            "scripted partition episode cutting SITES (comma-"
+            "separated) off the rest; repeatable",
+            {
+                "flag": "--partition-at",
+                "type": _parse_partition_episode,
+                "action": "append",
+                "metavar": "START:DURATION:SITES",
+            },
+        ),
+        "retransmit_timeout": (
+            "first retransmission deadline of an unacked message "
+            "(doubles per retry, capped)"
+        ),
+    })
     obs = p.add_argument_group(
         "observability",
         "off unless asked for: without these flags no probe attaches",
@@ -972,21 +875,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="export the structured event trace as JSONL",
     )
     obs.add_argument(
-        "--trace-capacity",
-        type=int,
-        default=65536,
-        help="tracer ring-buffer size (older records are dropped)",
-    )
-    obs.add_argument(
         "--metrics-out",
         metavar="PATH",
         help="write the windowed metrics time series as JSON",
-    )
-    obs.add_argument(
-        "--metrics-window",
-        type=float,
-        default=25.0,
-        help="aggregation window of the metrics sampler (sim time)",
     )
     obs.add_argument(
         "--attribution",
@@ -1002,85 +893,60 @@ def build_parser() -> argparse.ArgumentParser:
         "--attribution)",
     )
     obs.add_argument(
-        "--trace-sample",
-        type=int,
-        default=1,
-        metavar="N",
-        help="sample 1-in-N transactions into the tracer and "
-        "attribution streams to bound traced-run overhead; abort-"
-        "cause counts stay exact, time aggregates become estimates "
-        "(default 1 = everything)",
-    )
-    obs.add_argument(
         "--flight-recorder",
         metavar="DIR",
         help="dump last-N events + a waits-for DOT snapshot here on "
         "deadlock detection, crashes, and abort cascades",
     )
-    obs.add_argument(
-        "--flight-events",
-        type=int,
-        default=256,
-        help="events each flight-recorder dump retains",
-    )
-    obs.add_argument(
-        "--flight-cascade",
-        type=int,
-        default=25,
-        metavar="DEPTH",
-        help="abort-cascade depth that triggers a flight dump",
-    )
+    _add_fields(obs, ObserveConfig, {
+        "trace_capacity": (
+            "tracer ring-buffer size (older records are dropped)"
+        ),
+        "metrics_window": (
+            "aggregation window of the metrics sampler (sim time)"
+        ),
+        "sample_every": (
+            "sample 1-in-N transactions into the tracer and "
+            "attribution streams to bound traced-run overhead; abort-"
+            "cause counts stay exact, time aggregates become estimates "
+            "(default 1 = everything)",
+            {"flag": "--trace-sample", "metavar": "N"},
+        ),
+        "flight_events": "events each flight-recorder dump retains",
+        "flight_cascade_threshold": (
+            "abort-cascade depth that triggers a flight dump",
+            {"flag": "--flight-cascade", "metavar": "DEPTH"},
+        ),
+    }, metrics_window=25.0)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
         "sweep",
         help="run a policy x protocol x rate x failure x seed grid",
     )
-    _add_run_args(p, ["wound-wait", "wait-die"])
-    p.add_argument(
-        "--replica-protocols",
-        nargs="+",
-        default=["rowa"],
-        choices=replica_control_names(),
-        help="replica-control protocols as a grid axis",
-    )
-    p.add_argument(
-        "--arrival-rates",
-        nargs="+",
-        type=float,
-        default=[0.5, 1.0],
-        help="open-system arrival rates to sweep (0 = closed batch)",
-    )
-    p.add_argument(
-        "--failure-rates", nargs="+", type=float, default=[0.0]
-    )
-    p.add_argument(
-        "--loss-rates",
-        nargs="+",
-        type=float,
-        default=[0.0],
-        help="network message-loss probabilities as a chaos grid axis",
-    )
-    p.add_argument(
-        "--partition-rates",
-        nargs="+",
-        type=float,
-        default=[0.0],
-        help="Poisson partition-episode rates as a chaos grid axis",
-    )
-    p.add_argument(
-        "--partition-duration",
-        type=float,
-        default=20.0,
-        help="duration of each Poisson partition episode (chaos cells)",
-    )
-    p.add_argument(
-        "--seeds",
-        nargs="+",
-        type=int,
-        default=[0, 1, 2],
-        help="replicate seeds (each is one cell per grid point)",
-    )
+    _add_run_args(p, ["wound-wait", "wait-die"], max_transactions=200)
+    _add_fields(p, SweepSpec, {
+        "replica_protocols": (
+            "replica-control protocols as a grid axis",
+            {"choices": replica_control_names()},
+        ),
+        "arrival_rates": (
+            "open-system arrival rates to sweep (0 = closed batch)"
+        ),
+        "failure_rates": None,
+        "loss_rates": (
+            "network message-loss probabilities as a chaos grid axis"
+        ),
+        "partition_rates": (
+            "Poisson partition-episode rates as a chaos grid axis"
+        ),
+        "seeds": "replicate seeds (each is one cell per grid point)",
+    }, arrival_rates=(0.5, 1.0))
+    _add_fields(p, NetworkConfig, {
+        "partition_duration": (
+            "duration of each Poisson partition episode (chaos cells)"
+        ),
+    })
     p.add_argument(
         "--processes",
         type=int,
@@ -1108,9 +974,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach the latency-attribution engine to every cell; "
         "records (JSON/CSV) gain hotspot-share, wasted-work, and "
         "blame-graph columns",
-    )
-    _add_open_system_args(
-        p, max_transactions_default=200, single_rate=False
     )
     p.set_defaults(func=_cmd_sweep)
 

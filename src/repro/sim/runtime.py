@@ -233,16 +233,22 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         # A negative delay would silently corrupt event-heap ordering
-        # (events scheduled into the past); reject the rate/duration
-        # parameters outright, mirroring WorkloadSpec's validation.
-        for label, value in (
-            ("network_delay", self.network_delay),
-            ("commit_timeout", self.commit_timeout),
-            ("failure_rate", self.failure_rate),
-            ("repair_time", self.repair_time),
+        # (events scheduled into the past), a negative count lifts its
+        # cap, and a zero period re-arms its chain at the same instant
+        # until max_events runs out; reject them outright, mirroring
+        # WorkloadSpec's validation.
+        for label in (
+            "service_time", "network_delay", "arrival_spread",
+            "restart_delay", "restart_jitter", "timeout", "failure_rate",
+            "repair_time", "arrival_rate", "max_transactions",
         ):
+            value = getattr(self, label)
             if value < 0:
                 raise ValueError(f"{label} must be >= 0, got {value}")
+        for label in ("commit_timeout", "catchup_time", "detection_interval"):
+            value = getattr(self, label)
+            if value <= 0:
+                raise ValueError(f"{label} must be > 0, got {value}")
 
 
 class _Instance:

@@ -38,13 +38,16 @@ from repro.core.transaction import Transaction
 
 __all__ = [
     "CompiledWorkload",
+    "SHAPES",
     "WorkloadSpec",
     "random_schema",
     "random_system",
     "random_transaction",
 ]
 
-_SHAPES = ("random", "two_phase", "sequential", "ordered_2pl")
+#: The locking styles ``WorkloadSpec.shape`` accepts (see the module
+#: docstring).
+SHAPES = ("random", "two_phase", "sequential", "ordered_2pl")
 
 
 @dataclass(frozen=True)
@@ -86,9 +89,9 @@ class WorkloadSpec:
     replication_factor: int = 1
 
     def __post_init__(self) -> None:
-        if self.shape not in _SHAPES:
+        if self.shape not in SHAPES:
             raise ValueError(
-                f"unknown shape {self.shape!r}; choose from {_SHAPES}"
+                f"unknown shape {self.shape!r}; choose from {SHAPES}"
             )
         if self.n_transactions < 0:
             raise ValueError(

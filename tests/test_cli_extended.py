@@ -217,6 +217,271 @@ class TestRunFlags:
         assert base["workload"] is None
 
 
+class TestFlagsSetFields:
+    """Each run flag sets its config field, and a flag left out keeps
+    the field's library default unless the CLI names its own."""
+
+    # The CLI's own workload defaults: a larger generated database.
+    CLI_WORKLOAD = {"n_transactions": 8, "n_entities": 16, "n_sites": 4}
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """What ``main`` hands the simulator and the sweep runner."""
+        import repro.experiments
+        import repro.sim.runtime
+        from repro.sim.metrics import SimulationResult
+
+        calls = []
+
+        class RecordingSimulator:
+            observe = None
+
+            def __init__(self, system, policy, config):
+                self.policy = policy
+                calls.append((policy, config))
+
+            def run(self):
+                return SimulationResult(self.policy)
+
+        def record_sweep(spec, processes=None, parallel=True):
+            calls.append((spec, processes, parallel))
+            return [SimulationResult(cell.policy) for cell in spec.cells()]
+
+        monkeypatch.setattr(repro.sim.runtime, "Simulator", RecordingSimulator)
+        monkeypatch.setattr(repro.experiments, "run_sweep", record_sweep)
+        return calls
+
+    def test_simulate_defaults(self, built):
+        from repro.sim.runtime import SimulationConfig
+        from repro.sim.workload import WorkloadSpec
+
+        assert main(["simulate", "--arrival-rate", "0.5"]) == 0
+        expected = SimulationConfig(
+            arrival_rate=0.5, workload=WorkloadSpec(**self.CLI_WORKLOAD)
+        )
+        assert built == [
+            (policy, expected)
+            for policy in ("blocking", "wound-wait", "wait-die", "detect")
+        ]
+
+    def test_nested_defaults(self, built, tmp_path, monkeypatch):
+        from repro.sim.durability import DurabilityConfig
+        from repro.sim.network import NetworkConfig
+        from repro.sim.observe import ObserveConfig
+        from repro.sim.runtime import SimulationConfig
+        from repro.sim.workload import WorkloadSpec
+
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "simulate", "--arrival-rate", "0.5", "--policies", "detect",
+            "--trace-jsonl", "T.jsonl", "--metrics-out", "M.json",
+            "--flight-recorder", "F", "--flush-time", "0.25",
+            "--loss-rate", "0.1",
+        ]) == 0
+        assert built == [(
+            "detect",
+            SimulationConfig(
+                arrival_rate=0.5,
+                workload=WorkloadSpec(**self.CLI_WORKLOAD),
+                observe=ObserveConfig(
+                    trace=True, metrics_window=25.0, flight_recorder="F"
+                ),
+                network=NetworkConfig(loss_rate=0.1),
+                durability=DurabilityConfig(flush_time=0.25),
+            ),
+        )]
+
+    def test_sweep_defaults(self, built):
+        from repro.experiments import SweepSpec
+        from repro.sim.runtime import SimulationConfig
+        from repro.sim.workload import WorkloadSpec
+
+        assert main(["sweep", "--serial"]) == 0
+        expected = SweepSpec(
+            arrival_rates=(0.5, 1.0),
+            workload=WorkloadSpec(**self.CLI_WORKLOAD),
+            base=SimulationConfig(max_transactions=200),
+        )
+        assert built == [(expected, None, False)]
+
+    def test_every_simulate_flag(self, built, tmp_path, monkeypatch):
+        from repro.sim.durability import DurabilityConfig
+        from repro.sim.network import NetworkConfig
+        from repro.sim.observe import ObserveConfig
+        from repro.sim.runtime import SimulationConfig
+        from repro.sim.workload import WorkloadSpec
+
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "simulate", "--policies", "wait-die", "--commit", "paxos-commit",
+            # SimulationConfig
+            "--max-time", "500", "--network-delay", "0.5",
+            "--commit-timeout", "3", "--commit-fault-tolerance", "2",
+            "--repair-time", "7", "--catchup-time", "4",
+            "--max-transactions", "30", "--warmup", "5",
+            "--workload-seed", "11", "--seed", "7", "--failure-rate", "0.01",
+            "--replica-protocol", "quorum", "--arrival-rate", "0.25",
+            # WorkloadSpec
+            "--batch", "5", "--entities", "12", "--sites", "5",
+            "--entities-per-txn", "1", "3", "--actions-per-entity", "1", "2",
+            "--cross-arc-p", "0.5", "--shape", "two_phase",
+            "--hotspot-skew", "0.3", "--read-fraction", "0.4",
+            "--replication", "3",
+            # NetworkConfig
+            "--loss-rate", "0.05", "--dup-rate", "0.02", "--jitter", "0.2",
+            "--partition-rate", "0.01", "--partition-duration", "15",
+            "--partition-at", "40:25:s1,s2", "--partition-at", "90:5:s3",
+            "--retransmit-timeout", "1.5",
+            # DurabilityConfig
+            "--flush-time", "0.25", "--tail-loss-rate", "0.3",
+            "--torn-write-rate", "0.1", "--amnesia-rate", "0.05",
+            # ObserveConfig
+            "--trace-jsonl", "T.jsonl", "--metrics-out", "M.json",
+            "--flight-recorder", "F", "--attribution",
+            "--trace-capacity", "1000", "--metrics-window", "10",
+            "--flight-events", "64", "--flight-cascade", "5",
+            "--trace-sample", "3",
+        ]) == 0
+        assert built == [(
+            "wait-die",
+            SimulationConfig(
+                max_time=500.0,
+                network_delay=0.5,
+                commit_protocol="paxos-commit",
+                commit_timeout=3.0,
+                commit_fault_tolerance=2,
+                repair_time=7.0,
+                catchup_time=4.0,
+                max_transactions=30,
+                warmup_time=5.0,
+                workload_seed=11,
+                seed=7,
+                failure_rate=0.01,
+                replica_protocol="quorum",
+                arrival_rate=0.25,
+                workload=WorkloadSpec(
+                    n_transactions=5,
+                    n_entities=12,
+                    n_sites=5,
+                    entities_per_txn=(1, 3),
+                    actions_per_entity=(1, 2),
+                    cross_arc_p=0.5,
+                    shape="two_phase",
+                    hotspot_skew=0.3,
+                    read_fraction=0.4,
+                    replication_factor=3,
+                ),
+                network=NetworkConfig(
+                    loss_rate=0.05,
+                    dup_rate=0.02,
+                    jitter=0.2,
+                    partition_rate=0.01,
+                    partition_duration=15.0,
+                    partition_schedule=(
+                        (40.0, 25.0, ("s1", "s2")), (90.0, 5.0, ("s3",)),
+                    ),
+                    retransmit_timeout=1.5,
+                ),
+                durability=DurabilityConfig(
+                    flush_time=0.25,
+                    tail_loss_rate=0.3,
+                    torn_write_rate=0.1,
+                    amnesia_rate=0.05,
+                ),
+                observe=ObserveConfig(
+                    trace=True,
+                    trace_capacity=1000,
+                    metrics_window=10.0,
+                    flight_recorder="F",
+                    flight_events=64,
+                    flight_cascade_threshold=5,
+                    attribution=True,
+                    sample_every=3,
+                ),
+            ),
+        )]
+
+    def test_every_sweep_flag(self, built):
+        from repro.experiments import SweepSpec
+        from repro.sim.durability import DurabilityConfig
+        from repro.sim.network import NetworkConfig
+        from repro.sim.observe import ObserveConfig
+        from repro.sim.runtime import SimulationConfig
+        from repro.sim.workload import WorkloadSpec
+
+        assert main([
+            "sweep", "--serial", "--processes", "3",
+            "--policies", "wait-die", "--commit", "two-phase", "paxos-commit",
+            "--cell-metrics", "10", "--cell-attribution",
+            # SweepSpec axes
+            "--replica-protocols", "quorum", "rowa-available",
+            "--arrival-rates", "0", "0.25", "--failure-rates", "0", "0.01",
+            "--loss-rates", "0", "0.05", "--partition-rates", "0", "0.01",
+            "--seeds", "4", "5",
+            # NetworkConfig template of the chaos cells
+            "--partition-duration", "15",
+            # SimulationConfig
+            "--max-time", "600", "--network-delay", "0.25",
+            "--commit-timeout", "2", "--commit-fault-tolerance", "0",
+            "--repair-time", "3", "--catchup-time", "1.5",
+            "--max-transactions", "20", "--warmup", "2",
+            "--workload-seed", "9",
+            # WorkloadSpec
+            "--batch", "6", "--entities", "10", "--sites", "2",
+            "--entities-per-txn", "1", "2", "--actions-per-entity", "0", "2",
+            "--cross-arc-p", "0.1", "--shape", "ordered_2pl",
+            "--hotspot-skew", "0.5", "--read-fraction", "0.2",
+            "--replication", "2",
+            # DurabilityConfig
+            "--flush-time", "0", "--tail-loss-rate", "0.2",
+            "--torn-write-rate", "0.3", "--amnesia-rate", "0.1",
+        ]) == 0
+        expected = SweepSpec(
+            policies=("wait-die",),
+            protocols=("two-phase", "paxos-commit"),
+            replica_protocols=("quorum", "rowa-available"),
+            arrival_rates=(0.0, 0.25),
+            failure_rates=(0.0, 0.01),
+            loss_rates=(0.0, 0.05),
+            partition_rates=(0.0, 0.01),
+            seeds=(4, 5),
+            workload=WorkloadSpec(
+                n_transactions=6,
+                n_entities=10,
+                n_sites=2,
+                entities_per_txn=(1, 2),
+                actions_per_entity=(0, 2),
+                cross_arc_p=0.1,
+                shape="ordered_2pl",
+                hotspot_skew=0.5,
+                read_fraction=0.2,
+                replication_factor=2,
+            ),
+            # The cells take their workload from the spec: base.workload
+            # stays unset.
+            base=SimulationConfig(
+                max_time=600.0,
+                network_delay=0.25,
+                commit_timeout=2.0,
+                commit_fault_tolerance=0,
+                repair_time=3.0,
+                catchup_time=1.5,
+                max_transactions=20,
+                warmup_time=2.0,
+                workload_seed=9,
+                observe=ObserveConfig(metrics_window=10.0, attribution=True),
+                network=NetworkConfig(partition_duration=15.0),
+                durability=DurabilityConfig(
+                    flush_time=0.0,
+                    tail_loss_rate=0.2,
+                    torn_write_rate=0.3,
+                    amnesia_rate=0.1,
+                ),
+            ),
+        )
+        assert built == [(expected, 3, False)]
+
+
 class TestUsageErrors:
     """Bad observability and range flags exit 2 with a message, not a
     traceback, and write nothing."""
@@ -248,6 +513,14 @@ class TestUsageErrors:
               "--flight-events", "-3"], "flight_events"),
             (["simulate", *OPEN, "--flight-recorder", "F",
               "--flight-cascade", "0"], "flight_cascade_threshold"),
+            (["simulate", *OPEN, "--commit-timeout", "0"], "commit_timeout"),
+            (["simulate", *OPEN, "--catchup-time", "0"], "catchup_time"),
+            (["simulate", *OPEN, "--max-transactions", "-1",
+              "--max-time", "50"], "max_transactions"),
+            (["simulate", *OPEN, "--runs", "0"], "--runs"),
+            (["sweep", "--processes", "0", "--policies", "wound-wait",
+              "--arrival-rates", "0.5", "--seeds", "0",
+              "--max-transactions", "10"], "--processes"),
         ],
     )
     def test_config_range_errors(
@@ -255,6 +528,8 @@ class TestUsageErrors:
     ):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"{argv[0]}: ") and message in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{argv[0]}: ")
+        assert message in captured.err
+        assert not captured.out  # rejected before anything runs
         assert not list(tmp_path.iterdir())

@@ -6,6 +6,7 @@ hypothesis-drawn seed: deterministic, shrinkable, and guaranteed valid
 by construction.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,8 @@ from repro.core.schedule import Schedule
 from repro.core.serialization import d_graph
 
 from tests.helpers import small_random_system
+
+pytestmark = pytest.mark.properties
 
 seeds = st.integers(min_value=0, max_value=10_000)
 

@@ -11,6 +11,7 @@ and open, sampled and unsampled.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,8 @@ from repro.core.system import TransactionSystem
 from repro.sim.observe import ObserveConfig
 from repro.sim.runtime import SimulationConfig, Simulator
 from repro.sim.workload import WorkloadSpec, random_system
+
+pytestmark = pytest.mark.properties
 
 seeds = st.integers(min_value=0, max_value=2_000)
 policies = st.sampled_from(["wound-wait", "wait-die", "detect"])

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,8 @@ from repro.core.serialization import d_graph, is_serializable
 from repro.util.bitset import bits_of
 
 from tests.helpers import small_random_system
+
+pytestmark = pytest.mark.properties
 
 seeds = st.integers(min_value=0, max_value=10_000)
 

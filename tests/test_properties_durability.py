@@ -18,6 +18,7 @@ it, so a dropped record's key may still be backed by an older record.
 
 import random
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -32,6 +33,8 @@ from repro.sim.runtime import SimulationConfig, Simulator
 from repro.sim.workload import WorkloadSpec, random_system
 
 from tests.helpers import log_replay_state
+
+pytestmark = pytest.mark.properties
 
 SPEC = WorkloadSpec(
     n_transactions=4,

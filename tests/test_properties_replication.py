@@ -18,6 +18,7 @@ Four invariant families from the PR's contract:
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,8 @@ from repro.sim.runtime import SimulationConfig, Simulator
 from repro.sim.workload import WorkloadSpec, random_system
 
 from tests.helpers import seq
+
+pytestmark = pytest.mark.properties
 
 replica_protocols = st.sampled_from(["rowa", "rowa-available", "quorum"])
 

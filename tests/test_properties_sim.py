@@ -19,6 +19,7 @@ drain, commit/abort accounting balances.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,8 @@ from repro.sim.runtime import SimulationConfig, Simulator, simulate
 from repro.sim.workload import WorkloadSpec, random_system
 
 from tests.helpers import small_random_system
+
+pytestmark = pytest.mark.properties
 
 seeds = st.integers(min_value=0, max_value=5_000)
 all_policies = st.sampled_from(

@@ -53,15 +53,31 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field",
-        ["network_delay", "commit_timeout", "failure_rate", "repair_time"],
+        [
+            "network_delay", "commit_timeout", "failure_rate", "repair_time",
+            "service_time", "arrival_spread", "restart_delay",
+            "restart_jitter", "timeout", "arrival_rate", "max_transactions",
+        ],
     )
     def test_negative_value_rejected(self, field):
         with pytest.raises(ValueError, match=field):
             SimulationConfig(**{field: -0.5})
 
+    @pytest.mark.parametrize(
+        "field", ["commit_timeout", "catchup_time", "detection_interval"]
+    )
+    def test_zero_period_rejected(self, field):
+        # A zero period re-arms its chain at the same instant until
+        # max_events runs out.
+        with pytest.raises(ValueError, match=f"{field} must be > 0"):
+            SimulationConfig(**{field: 0.0})
+
     def test_zero_values_accepted(self):
         config = SimulationConfig(
-            network_delay=0.0, failure_rate=0.0, repair_time=0.0
+            network_delay=0.0, failure_rate=0.0, repair_time=0.0,
+            service_time=0.0, arrival_spread=0.0, restart_delay=0.0,
+            restart_jitter=0.0, timeout=0.0, arrival_rate=0.0,
+            max_transactions=0,
         )
         assert config.network_delay == 0.0
 

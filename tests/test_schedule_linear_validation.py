@@ -14,12 +14,15 @@ index for the same reason class.
 import random
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.operations import OpKind
 from repro.core.schedule import IllegalScheduleError, Schedule
 from repro.sim.workload import WorkloadSpec, random_system
+
+pytestmark = pytest.mark.properties
 
 STEP_RE = re.compile(r"step (\d+):")
 

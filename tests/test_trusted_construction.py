@@ -15,6 +15,7 @@ two directions of that bargain over random workload specs:
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,8 @@ from repro.sim.workload import (
     random_transaction,
 )
 from repro.util.dag import Dag
+
+pytestmark = pytest.mark.properties
 
 shapes = st.sampled_from(
     ["random", "two_phase", "sequential", "ordered_2pl"]
