@@ -336,9 +336,10 @@ class Transaction:
         site-total-order validation and builds the Dag through
         :meth:`Dag.trusted <repro.util.dag.Dag.trusted>` (no cycle
         check, lazy closure), producing an object equal to what the
-        validating constructor returns — open-system arrivals are the
-        hot caller. ``schema`` is required: deriving a default would
-        need the validation pass this path exists to skip.
+        validating constructor returns — every generated transaction,
+        closed batch or open-system arrival, is built here. ``schema``
+        is required: deriving a default would need the validation pass
+        this path exists to skip.
 
         Feeding input that violates the invariants produces a silently
         malformed transaction; use the normal constructor whenever the

@@ -140,7 +140,7 @@ class ArrivalProcess:
             self.schema = DatabaseSchema(placement)
         # Per-spec generation tables, compiled once: every arrival
         # draws from them and builds its transaction on the trusted
-        # (validation-free) path — bit-identical to random_transaction.
+        # (validation-free) path, as closed batches do.
         self.compiled = CompiledWorkload(self.spec, self.schema)
         # One Random reused across arrivals: re-seeding puts it in
         # exactly the state a fresh Random(seed) would start in, minus

@@ -1,6 +1,7 @@
 """Random workload generation: schemas, transactions, systems.
 
-The generator builds *valid* distributed transactions by construction:
+The generator, :class:`CompiledWorkload`, builds *valid* distributed
+transactions by construction:
 
 1. choose the accessed entities and, per entity, an optional number of
    action steps;
@@ -27,8 +28,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from functools import lru_cache
+from collections.abc import Iterable
+from dataclasses import dataclass
 from itertools import accumulate
 
 from repro.core.entity import DatabaseSchema, Entity
@@ -152,78 +153,6 @@ def random_schema(
     return DatabaseSchema(placement)
 
 
-@lru_cache(maxsize=64)
-def _hotspot_weights(n: int, skew: float) -> tuple[float, ...]:
-    """Zipf-style weights, memoized (recomputed per arrival otherwise)."""
-    return tuple(1.0 / (1 + i) ** skew for i in range(n))
-
-
-def _pick_entities(
-    rng: random.Random, spec: WorkloadSpec, pool: list[Entity]
-) -> list[Entity]:
-    lo, hi = spec.entities_per_txn
-    count = min(rng.randint(lo, hi), len(pool))
-    if spec.hotspot_skew <= 0:
-        return rng.sample(pool, count)
-    weights = _hotspot_weights(len(pool), spec.hotspot_skew)
-    chosen: list[Entity] = []
-    candidates = list(zip(pool, weights))
-    for _ in range(count):
-        total = sum(w for _e, w in candidates)
-        point = rng.uniform(0, total)
-        acc = 0.0
-        for index, (entity, weight) in enumerate(candidates):
-            acc += weight
-            if point <= acc:
-                chosen.append(entity)
-                del candidates[index]
-                break
-    return chosen
-
-
-def _reference_sequence(
-    rng: random.Random,
-    spec: WorkloadSpec,
-    entities: list[Entity],
-) -> list[Operation]:
-    """A legal total order over the chosen entities' operations."""
-    lo, hi = spec.actions_per_entity
-    chains = {}
-    for entity in entities:
-        n_actions = rng.randint(lo, hi)
-        chains[entity] = (
-            [Operation.lock(entity)]
-            + [Operation.action(entity) for _ in range(n_actions)]
-            + [Operation.unlock(entity)]
-        )
-
-    if spec.shape in ("two_phase", "ordered_2pl"):
-        ordered = sorted(entities) if spec.shape == "ordered_2pl" else (
-            rng.sample(entities, len(entities))
-        )
-        sequence = [Operation.lock(entity) for entity in ordered]
-        middles = [op for e in ordered for op in chains[e][1:-1]]
-        rng.shuffle(middles)
-        sequence.extend(middles)
-        release = ordered[:]
-        if spec.shape != "ordered_2pl":
-            rng.shuffle(release)
-        sequence.extend(
-            Operation.unlock(entity) for entity in reversed(release)
-        )
-        return sequence
-
-    # Random riffle of the per-entity chains.
-    cursors = {entity: 0 for entity in entities}
-    remaining = [entity for entity in entities for _ in chains[entity]]
-    rng.shuffle(remaining)
-    sequence = []
-    for entity in remaining:
-        sequence.append(chains[entity][cursors[entity]])
-        cursors[entity] += 1
-    return sequence
-
-
 def _structural_arcs(
     spec: WorkloadSpec, sequence: list[Operation]
 ) -> list[tuple[int, int]]:
@@ -252,90 +181,21 @@ def _structural_arcs(
     return arcs
 
 
-def random_transaction(
-    name: str,
-    rng: random.Random,
-    schema: DatabaseSchema,
-    spec: WorkloadSpec,
-    entities: list[Entity] | None = None,
-) -> Transaction:
-    """Generate one random valid transaction over ``schema``.
-
-    Args:
-        name: transaction name.
-        rng: seeded randomness source.
-        schema: entity placement; accessed entities are drawn from it.
-        spec: workload parameters.
-        entities: fix the accessed entities instead of sampling them.
-    """
-    pool = list(schema.entities_sorted())
-    accessed = entities if entities is not None else _pick_entities(
-        rng, spec, pool
-    )
-    if not accessed:
-        accessed = [rng.choice(pool)]
-    # Reads are drawn before the sequence so the RNG stream position is
-    # well defined; read_fraction == 0 draws nothing, which is what
-    # keeps historical all-write workloads bit-identical.
-    read_set: frozenset[Entity] = frozenset()
-    if spec.read_fraction > 0:
-        read_set = frozenset(
-            entity
-            for entity in accessed
-            if rng.random() < spec.read_fraction
-        )
-    sequence = _reference_sequence(rng, spec, list(accessed))
-
-    if spec.shape == "sequential":
-        return Transaction.sequential(name, sequence, schema, read_set)
-
-    # Per-site chains from the reference order. The per-node site list
-    # is computed once: the cross-arc double loop below used to call
-    # schema.site_of twice per pair.
-    op_sites = [schema.site_of(op.entity) for op in sequence]
-    arcs: list[tuple[int, int]] = []
-    last_at_site: dict[str, int] = {}
-    for index, site in enumerate(op_sites):
-        if site in last_at_site:
-            arcs.append((last_at_site[site], index))
-        last_at_site[site] = index
-
-    # Extra cross-site arcs consistent with the reference order (the
-    # RNG is drawn for each cross-site pair in (u, v) order — the draw
-    # sequence is part of the workload's identity, so the loop shape
-    # must not change).
-    for u in range(len(sequence)):
-        site_u = op_sites[u]
-        for v in range(u + 1, len(sequence)):
-            if site_u != op_sites[v] and rng.random() < spec.cross_arc_p:
-                arcs.append((u, v))
-
-    # Shape-defining arcs (2PL closure, global lock chain).
-    arcs.extend(_structural_arcs(spec, sequence))
-
-    # The Lock -> Unlock arc is implied by the same-site chain when the
-    # entity's nodes are colocated (they always are — same entity), so
-    # the construction is already well formed.
-    return Transaction(name, sequence, arcs, schema, read_set)
-
-
 class CompiledWorkload:
-    """One spec's generation tables, precomputed once per run.
+    """One spec's generation tables over one schema: the generator.
 
-    ``random_transaction`` recomputes several spec/schema constants on
-    every call — the sorted entity pool, the hotspot weights, each
-    operation label, every ``site_of`` lookup — which dominates
-    per-arrival cost in open-system runs. Compiling the spec hoists all
-    of it: the pool and weights become shared tuples, the per-entity
-    ``Lx``/``A.x``/``Ux`` :class:`Operation` objects are built once and
-    reused (they are immutable), and entity-to-site routing is one dict
-    hit. :meth:`generate` then draws from the RNG in *exactly* the
-    sequence ``random_transaction`` does — the draw stream is part of a
-    workload's identity, so a compiled generator reproduces the naive
-    one bit for bit — and assembles the result through
-    ``Transaction.trusted`` (the construction invariants hold by the
-    same argument as for ``random_transaction``, so re-validation would
-    only re-prove them).
+    Compiling hoists every spec/schema constant out of the per-call
+    work: the sorted entity pool and its hotspot weights are computed
+    once, the per-entity ``Lx``/``A.x``/``Ux`` :class:`Operation`
+    objects are built once and reused (they are immutable), and
+    entity-to-site routing is one dict hit. :meth:`generate` builds
+    every generated transaction — closed batches through
+    :func:`random_system`, one-off calls through
+    :func:`random_transaction`, and open-system arrivals — and the
+    sequence of its RNG draws is part of a workload's identity. Its
+    output is valid by construction (see the module docstring), so it
+    is assembled through ``Transaction.trusted``: re-validation would
+    only re-prove the invariants.
     """
 
     __slots__ = (
@@ -347,8 +207,12 @@ class CompiledWorkload:
         self.spec = spec
         self.schema = schema
         self.pool: list[Entity] = list(schema.entities_sorted())
+        # Zipf-style: P(i) ∝ 1/(1+i)^skew.
         self.weights: tuple[float, ...] | None = (
-            _hotspot_weights(len(self.pool), spec.hotspot_skew)
+            tuple(
+                1.0 / (1 + i) ** spec.hotspot_skew
+                for i in range(len(self.pool))
+            )
             if spec.hotspot_skew > 0
             else None
         )
@@ -359,17 +223,11 @@ class CompiledWorkload:
         self.unlock_op = {e: Operation.unlock(e) for e in self.pool}
         self.action_op = {e: Operation.action(e) for e in self.pool}
 
-    # ------------------------------------------------------------------
-    # draw-identical ports of the module-level helpers
-    # ------------------------------------------------------------------
-
     def _pick_entities(self, rng: random.Random) -> list[Entity]:
-        # Mirrors module-level _pick_entities. The linear accumulate
-        # scan becomes prefix sums + bisect: the prefix sums are the
-        # same left-to-right float additions the scan performed, and
-        # bisect_left finds the first index with ``point <=
-        # prefix[index]`` — the scan's stopping rule — so every pick
-        # (and every draw) is bit-identical.
+        # Weighted sampling without replacement: each pick draws a
+        # point up to the total weight and takes the first candidate
+        # whose prefix sum reaches it (bisect_left over the prefix
+        # sums).
         pool = self.pool
         lo, hi = self.spec.entities_per_txn
         count = min(rng.randint(lo, hi), len(pool))
@@ -390,11 +248,22 @@ class CompiledWorkload:
                 del cand_w[index]
         return chosen
 
+    def _checked(self, entities: Iterable[Entity]) -> list[Entity]:
+        """A caller's fixed entities, rejecting unknown or repeated ones."""
+        accessed = list(entities)
+        seen: set[Entity] = set()
+        for entity in accessed:
+            if entity not in self.site_of:
+                raise ValueError(f"entity {entity!r} is not in the schema")
+            if entity in seen:
+                raise ValueError(f"entity {entity!r} is listed twice")
+            seen.add(entity)
+        return accessed
+
     def _reference_sequence(
         self, rng: random.Random, entities: list[Entity]
     ) -> list[Operation]:
-        # Mirrors module-level _reference_sequence with precompiled
-        # Operation objects (reused — they are immutable).
+        """A legal total order over the chosen entities' operations."""
         spec = self.spec
         lo, hi = spec.actions_per_entity
         lock_op = self.lock_op
@@ -425,27 +294,42 @@ class CompiledWorkload:
             )
             return sequence
 
-        # Per-entity iterators replace the cursor dict: next() on a
-        # list iterator is one C call, and each chain is consumed
-        # exactly once in order — the same sequence the cursor walk
-        # produced.
+        # Random riffle of the per-entity chains: each entity's
+        # iterator yields its chain in order as the shuffled slots
+        # name it.
         cursors = {entity: iter(chains[entity]) for entity in entities}
         remaining = [entity for entity in entities for _ in chains[entity]]
         rng.shuffle(remaining)
         return [next(cursors[entity]) for entity in remaining]
 
-    def generate(self, name: str, rng: random.Random) -> Transaction:
-        """One arrival's transaction; equal to ``random_transaction``'s.
+    def generate(
+        self,
+        name: str,
+        rng: random.Random,
+        entities: Iterable[Entity] | None = None,
+    ) -> Transaction:
+        """One random valid transaction over the compiled schema.
 
-        Given the same ``rng`` state, the result compares equal to
-        ``random_transaction(name, rng, self.schema, self.spec)`` —
-        ops, arcs, schema, read set, and site grouping included (the
-        property suite pins this).
+        Args:
+            name: transaction name.
+            rng: seeded randomness source.
+            entities: fix the accessed entities instead of sampling
+                them (an empty list falls back to one random entity).
+
+        Raises:
+            ValueError: if ``entities`` names an entity twice or one
+                outside the schema (checked before any draw).
         """
         spec = self.spec
-        accessed = self._pick_entities(rng)
+        if entities is None:
+            accessed = self._pick_entities(rng)
+        else:
+            accessed = self._checked(entities)
         if not accessed:
             accessed = [rng.choice(self.pool)]
+        # Reads are drawn before the sequence so the RNG stream position
+        # is well defined; read_fraction == 0 draws nothing, which is
+        # what keeps historical all-write workloads bit-identical.
         read_set: frozenset[Entity] = frozenset()
         if spec.read_fraction > 0:
             read_fraction = spec.read_fraction
@@ -454,7 +338,7 @@ class CompiledWorkload:
                 for entity in accessed
                 if rng.random() < read_fraction
             )
-        sequence = self._reference_sequence(rng, list(accessed))
+        sequence = self._reference_sequence(rng, accessed)
 
         if spec.shape == "sequential":
             arcs = [(i, i + 1) for i in range(len(sequence) - 1)]
@@ -462,6 +346,7 @@ class CompiledWorkload:
                 name, sequence, arcs, self.schema, read_set
             )
 
+        # Per-site chains from the reference order.
         site_of = self.site_of
         op_sites = [site_of[op.entity] for op in sequence]
         arcs = []
@@ -474,7 +359,8 @@ class CompiledWorkload:
             last_at_site[site] = index
 
         # Cross-site arcs: one draw per cross-site (u, v) pair, in
-        # (u, v) order — the draw sequence is workload identity.
+        # (u, v) order — the draw sequence is workload identity, so the
+        # loop shape must not change.
         cross_p = spec.cross_arc_p
         random_draw = rng.random
         n_ops = len(sequence)
@@ -484,10 +370,28 @@ class CompiledWorkload:
                 if site_u != op_sites[v] and random_draw() < cross_p:
                     append_arc((u, v))
 
+        # Shape-defining arcs (2PL closure, global lock chain).
         arcs.extend(_structural_arcs(spec, sequence))
         return Transaction.trusted(
             name, sequence, arcs, self.schema, read_set, op_sites
         )
+
+
+def random_transaction(
+    name: str,
+    rng: random.Random,
+    schema: DatabaseSchema,
+    spec: WorkloadSpec,
+    entities: list[Entity] | None = None,
+) -> Transaction:
+    """Generate one random valid transaction over ``schema``.
+
+    One call of :meth:`CompiledWorkload.generate`, which documents
+    ``name``, ``rng`` and ``entities``; to generate many transactions
+    over one spec and schema, compile once and call ``generate``, as
+    :func:`random_system` does.
+    """
+    return CompiledWorkload(spec, schema).generate(name, rng, entities)
 
 
 def random_system(
@@ -496,8 +400,7 @@ def random_system(
     """Generate a random transaction system per ``spec``."""
     spec = spec or WorkloadSpec()
     schema = random_schema(rng, spec.n_entities, spec.n_sites)
-    transactions = [
-        random_transaction(f"T{i + 1}", rng, schema, spec)
-        for i in range(spec.n_transactions)
-    ]
-    return TransactionSystem(transactions)
+    generate = CompiledWorkload(spec, schema).generate
+    return TransactionSystem(
+        [generate(f"T{i + 1}", rng) for i in range(spec.n_transactions)]
+    )

@@ -74,12 +74,13 @@ class Dag:
         ``0 <= u < v < n`` — forward in node-id order, hence acyclic
         with no self-loops. The workload generator produces exactly
         such arcs (every arc follows the reference sequence), which is
-        what lets open-system arrivals skip Kahn's algorithm and the
+        what lets generated transactions skip Kahn's algorithm and the
         transitive closure entirely: the simulator's hot path consumes
-        only the direct successor/predecessor masks. The closure (and
-        the cached topological order) is computed lazily on first use,
-        so the resulting Dag answers every query exactly like a
-        validated one.
+        only the direct successor/predecessor masks. Every closure
+        read goes through :meth:`_closure`, which computes the closure
+        (and the cached topological order) on first use, and
+        :attr:`arcs` iterates in the validated order, so the resulting
+        Dag answers every query exactly like a validated one.
         """
         dag = object.__new__(cls)
         dag.n = n
@@ -101,10 +102,11 @@ class Dag:
         dag._topo = None
         return dag
 
-    def _ensure_closure(self) -> None:
-        """Materialize the lazy closure of a trusted Dag."""
+    def _closure(self) -> tuple[list[int], list[int]]:
+        """Per-node descendant and ancestor masks, computed on first use."""
         if self._anc is None:
             self._desc, self._anc = self._compute_closure()
+        return self._desc, self._anc
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -173,7 +175,9 @@ class Dag:
         """The direct (non-transitive) arcs as given at construction."""
         arcs = self._arcs
         if arcs is None:
-            arcs = self._arcs = frozenset(self._arc_src)
+            # Through a set, as ``__init__`` builds it: the frozen copy
+            # then iterates in the same order as a validated Dag's.
+            arcs = self._arcs = frozenset(set(self._arc_src))
             self._arc_src = None
         return arcs
 
@@ -188,13 +192,13 @@ class Dag:
     def descendants(self, u: int) -> int:
         """Bitmask of all nodes strictly after ``u`` in the partial order."""
         if self._desc is None:
-            self._ensure_closure()
+            self._closure()
         return self._desc[u]
 
     def ancestors(self, u: int) -> int:
         """Bitmask of all nodes strictly before ``u`` in the partial order."""
         if self._anc is None:
-            self._ensure_closure()
+            self._closure()
         return self._anc[u]
 
     def successor_masks(self) -> list[int]:
@@ -215,7 +219,7 @@ class Dag:
     def precedes(self, u: int, v: int) -> bool:
         """Return True if ``u`` strictly precedes ``v`` (u ≺ v)."""
         if self._desc is None:
-            self._ensure_closure()
+            self._closure()
         return bool(self._desc[u] >> v & 1)
 
     def comparable(self, u: int, v: int) -> bool:
@@ -268,6 +272,7 @@ class Dag:
         The count is exponential in general; intended for small posets
         (tests, the exhaustive oracle, Corollary 1 experiments).
         """
+        anc = self._closure()[1]
         full = self.all_nodes_mask()
         prefix: list[int] = []
 
@@ -277,7 +282,7 @@ class Dag:
                 return
             remaining = full & ~done
             for u in bits_of(remaining):
-                if self._anc[u] & ~done == 0:
+                if anc[u] & ~done == 0:
                     prefix.append(u)
                     yield from extend(done | (1 << u))
                     prefix.pop()
@@ -291,6 +296,7 @@ class Dag:
             limit: optional cap; counting stops early once exceeded and the
                 running total (>= limit) is returned.
         """
+        anc = self._closure()[1]
         counts: dict[int, int] = {0: 1}
         frontier = [0]
         full = self.all_nodes_mask()
@@ -301,7 +307,7 @@ class Dag:
                 ways = counts[done]
                 remaining = full & ~done
                 for u in bits_of(remaining):
-                    if self._anc[u] & ~done == 0:
+                    if anc[u] & ~done == 0:
                         key = done | (1 << u)
                         next_counts[key] = next_counts.get(key, 0) + ways
             counts = next_counts
@@ -319,6 +325,7 @@ class Dag:
         every ancestor of a member is a member. The empty set and the full
         set are included. Exponential in general; for small posets only.
         """
+        anc = self._closure()[1]
         seen = {0}
         stack = [0]
         while stack:
@@ -326,7 +333,7 @@ class Dag:
             yield done
             remaining = self.all_nodes_mask() & ~done
             for u in bits_of(remaining):
-                if self._anc[u] & ~done == 0:
+                if anc[u] & ~done == 0:
                     grown = done | (1 << u)
                     if grown not in seen:
                         seen.add(grown)
@@ -334,16 +341,18 @@ class Dag:
 
     def is_down_set(self, mask: int) -> bool:
         """Return True if ``mask`` is a down-set (a *prefix* per the paper)."""
+        anc = self._closure()[1]
         for u in bits_of(mask):
-            if self._anc[u] & ~mask:
+            if anc[u] & ~mask:
                 return False
         return True
 
     def down_closure(self, mask: int) -> int:
         """Return the smallest down-set containing ``mask``."""
+        anc = self._closure()[1]
         closed = mask
         for u in bits_of(mask):
-            closed |= self._anc[u]
+            closed |= anc[u]
         return closed
 
     def minimal_nodes(self, mask: int) -> int:
@@ -352,9 +361,10 @@ class Dag:
         This is exactly "the nodes without predecessors in the subgraph
         induced by ``mask``" used in the paper's deadlock definition.
         """
+        anc = self._closure()[1]
         result = 0
         for u in bits_of(mask):
-            if self._anc[u] & mask == 0:
+            if anc[u] & mask == 0:
                 result |= 1 << u
         return result
 
@@ -365,9 +375,10 @@ class Dag:
         descendants — the construction used for the maximal prefixes ``T*``
         of Theorem 4.
         """
+        desc = self._closure()[0]
         removed = forbidden
         for u in bits_of(forbidden):
-            removed |= self._desc[u]
+            removed |= desc[u]
         return self.all_nodes_mask() & ~removed
 
     # ------------------------------------------------------------------
@@ -376,13 +387,14 @@ class Dag:
 
     def transitive_reduction(self) -> "Dag":
         """Return the Hasse diagram (unique minimal arc set, same order)."""
+        desc = self._closure()[0]
         reduced: list[tuple[int, int]] = []
         for u, v in self.arcs:
             # (u, v) is redundant iff some direct successor w != v of u
             # already reaches v.
             redundant = False
             for w in bits_of(self._succ[u] & ~(1 << v)):
-                if w == v or self._desc[w] >> v & 1:
+                if w == v or desc[w] >> v & 1:
                     redundant = True
                     break
             if not redundant:
@@ -391,9 +403,10 @@ class Dag:
 
     def transitive_closure_arcs(self) -> frozenset[tuple[int, int]]:
         """All ordered pairs ``(u, v)`` with ``u ≺ v``."""
+        desc = self._closure()[0]
         pairs = set()
         for u in range(self.n):
-            for v in bits_of(self._desc[u]):
+            for v in bits_of(desc[u]):
                 pairs.add((u, v))
         return frozenset(pairs)
 

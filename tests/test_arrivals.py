@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.entity import DatabaseSchema
+from repro.core.prefix import SystemPrefix
 from repro.core.system import TransactionSystem
 from repro.core.transaction import Transaction
+from repro.io.dot import system_to_dot
 from repro.sim.arrivals import ArrivalProcess, OpenSystem
 from repro.sim.runtime import SimulationConfig, Simulator, simulate
 from repro.sim.workload import WorkloadSpec
@@ -198,3 +200,22 @@ class TestOpenSystemWrapper:
         # The committed trace replays over the frozen system.
         schedule = sim.committed_schedule()
         assert len(schedule.steps) > 0
+
+    def test_static_queries_on_the_arrived_transactions(self):
+        # Arrivals are built on the trusted path, with their closure
+        # deferred; the static tools must read it like a validated one.
+        config = open_config(
+            arrival_rate=0.5,
+            max_transactions=4,
+            workload=WorkloadSpec(n_entities=6, n_sites=3),
+            seed=1,
+        )
+        sim = Simulator(empty(), "wound-wait", config)
+        sim.run()
+        validated = TransactionSystem([
+            Transaction(t.name, t.ops, t.dag.arcs, t.schema, t.read_set)
+            for t in sim.system
+        ])
+        assert system_to_dot(sim.system) == system_to_dot(validated)
+        complete = SystemPrefix.complete(sim.system)
+        assert complete.masks == SystemPrefix.complete(validated).masks

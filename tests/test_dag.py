@@ -242,3 +242,48 @@ class TestEquality:
 
     def test_hashable(self):
         assert len({Dag(2, [(0, 1)]), Dag(2, [(0, 1)])}) == 1
+
+
+# The nine queries that read the transitive closure in bulk, each with
+# arguments spanning every node subset of a small Dag.
+CLOSURE_QUERIES = {
+    "linear_extensions": lambda d: sorted(d.linear_extensions()),
+    "count_linear_extensions": lambda d: d.count_linear_extensions(),
+    "down_sets": lambda d: sorted(d.down_sets()),
+    "is_down_set": lambda d: [d.is_down_set(m) for m in range(1 << d.n)],
+    "down_closure": lambda d: [d.down_closure(m) for m in range(1 << d.n)],
+    "minimal_nodes": lambda d: [
+        d.minimal_nodes(m) for m in range(1 << d.n)
+    ],
+    "maximal_down_set_avoiding": lambda d: [
+        d.maximal_down_set_avoiding(m) for m in range(1 << d.n)
+    ],
+    "transitive_reduction": lambda d: d.transitive_reduction(),
+    "transitive_closure_arcs": lambda d: d.transitive_closure_arcs(),
+}
+
+
+class TestTrustedDag:
+    """``Dag.trusted`` defers its closure; every query must still
+    answer exactly as the validating constructor's Dag does."""
+
+    FORWARD_DAGS = [
+        (4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
+        (6, [(0, 2), (1, 2), (2, 4), (0, 4), (3, 5), (0, 3), (2, 4)]),
+    ]
+
+    @pytest.mark.parametrize("query", sorted(CLOSURE_QUERIES))
+    @pytest.mark.parametrize("n, arcs", FORWARD_DAGS)
+    def test_closure_query_on_a_fresh_trusted_dag(self, query, n, arcs):
+        ask = CLOSURE_QUERIES[query]
+        assert ask(Dag.trusted(n, arcs)) == ask(Dag(n, arcs))
+
+    def test_arcs_iterate_in_the_validated_order(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(2, 20)
+            arcs = [
+                tuple(sorted(rng.sample(range(n), 2)))
+                for _ in range(rng.randint(0, 40))
+            ]
+            assert list(Dag.trusted(n, arcs).arcs) == list(Dag(n, arcs).arcs)

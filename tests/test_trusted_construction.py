@@ -1,16 +1,20 @@
-"""Trusted construction: the validation-free path equals the validated one.
+"""Trusted construction: the generator's output is valid by construction.
 
-The arrival-to-verdict fast path builds every open-system arrival
-through ``CompiledWorkload.generate`` -> ``Transaction.trusted`` ->
-``Dag.trusted``, none of which validate their input — the generator
-guarantees the invariants by construction. These properties pin the
-two directions of that bargain over random workload specs:
+Every generated transaction — closed batches, ``random_transaction``
+calls and open-system arrivals — is built through
+``CompiledWorkload.generate`` -> ``Transaction.trusted`` ->
+``Dag.trusted``, none of which validate their input. These properties
+pin the two halves of that bargain over random workload specs:
 
-* the trusted product is *equal* to what the validating path produces
-  from the same RNG state — ops, arcs, schema, read set, site
-  grouping, lock/unlock tables, and the RNG stream position itself;
-* the validating constructor *accepts* every trusted product (i.e. the
-  generator really does only emit well-formed transactions).
+* the validating constructor *accepts* every trusted product, with or
+  without fixed ``entities=``, and every ``random_system`` batch, and
+  rebuilds an equal transaction (the generator really does only emit
+  well-formed transactions);
+* a trusted Dag's lazily computed closure answers like the closure the
+  validating ``Dag(n, arcs)`` computes at construction.
+
+The generator's draw stream itself is pinned by digest in
+``tests/test_workload.py::TestGeneratorGolden``.
 """
 
 import random
@@ -21,23 +25,23 @@ from hypothesis import strategies as st
 
 from repro.core.transaction import Transaction
 from repro.sim.workload import (
+    SHAPES,
     CompiledWorkload,
     WorkloadSpec,
     random_schema,
-    random_transaction,
+    random_system,
 )
 from repro.util.dag import Dag
 
 pytestmark = pytest.mark.properties
 
-shapes = st.sampled_from(
-    ["random", "two_phase", "sequential", "ordered_2pl"]
-)
+seeds = st.integers(min_value=0, max_value=1000)
 
 
 @st.composite
 def workload_specs(draw):
     return WorkloadSpec(
+        n_transactions=draw(st.integers(min_value=0, max_value=4)),
         n_entities=draw(st.integers(min_value=1, max_value=14)),
         n_sites=draw(st.integers(min_value=1, max_value=5)),
         entities_per_txn=(
@@ -49,83 +53,73 @@ def workload_specs(draw):
             draw(st.integers(min_value=1, max_value=3)),
         ),
         cross_arc_p=draw(st.sampled_from([0.0, 0.25, 0.6, 1.0])),
-        shape=draw(shapes),
+        shape=draw(st.sampled_from(SHAPES)),
         hotspot_skew=draw(st.sampled_from([0.0, 0.5, 1.5])),
         read_fraction=draw(st.sampled_from([0.0, 0.3, 1.0])),
     )
 
 
-def _generate_both(spec, schema_seed, txn_seed):
+def _generate(spec, schema_seed, txn_seed, entities=None):
     schema = random_schema(
         random.Random(schema_seed), spec.n_entities, spec.n_sites
     )
-    compiled = CompiledWorkload(spec, schema)
-    validating_rng = random.Random(txn_seed)
-    trusted_rng = random.Random(txn_seed)
-    validated = random_transaction("T", validating_rng, schema, spec)
-    trusted = compiled.generate("T", trusted_rng)
-    return validated, trusted, validating_rng, trusted_rng
+    return CompiledWorkload(spec, schema).generate(
+        "T", random.Random(txn_seed), entities
+    )
+
+
+def _assert_revalidates(trusted):
+    # Must not raise MalformedTransactionError / CycleError.
+    revalidated = Transaction(
+        trusted.name,
+        trusted.ops,
+        trusted.dag.arcs,
+        trusted.schema,
+        trusted.read_set,
+    )
+    assert revalidated == trusted
+    assert revalidated._site_nodes == trusted._site_nodes
+    assert revalidated._lock_node == trusted._lock_node
+    assert revalidated._unlock_node == trusted._unlock_node
+    assert revalidated.entities == trusted.entities
 
 
 class TestTrustedEqualsValidated:
-    @given(
-        workload_specs(),
-        st.integers(min_value=0, max_value=1000),
-        st.integers(min_value=0, max_value=1000),
-    )
-    @settings(max_examples=120)
-    def test_compiled_generate_equals_random_transaction(
-        self, spec, schema_seed, txn_seed
-    ):
-        validated, trusted, validating_rng, trusted_rng = _generate_both(
-            spec, schema_seed, txn_seed
-        )
-        assert trusted == validated  # name, ops, dag arcs, schema, reads
-        assert trusted.ops == validated.ops
-        assert trusted.dag.arcs == validated.dag.arcs
-        assert trusted.read_set == validated.read_set
-        assert trusted.schema is validated.schema
-        assert trusted._site_nodes == validated._site_nodes
-        assert trusted._lock_node == validated._lock_node
-        assert trusted._unlock_node == validated._unlock_node
-        assert trusted.entities == validated.entities
-        # The draw streams advanced identically: the next draw agrees.
-        assert validating_rng.random() == trusted_rng.random()
-
-    @given(
-        workload_specs(),
-        st.integers(min_value=0, max_value=1000),
-        st.integers(min_value=0, max_value=1000),
-    )
+    @given(workload_specs(), seeds, seeds)
     @settings(max_examples=120)
     def test_validating_constructor_accepts_trusted_product(
         self, spec, schema_seed, txn_seed
     ):
-        _, trusted, _, _ = _generate_both(spec, schema_seed, txn_seed)
-        # Must not raise MalformedTransactionError / CycleError.
-        revalidated = Transaction(
-            trusted.name,
-            trusted.ops,
-            trusted.dag.arcs,
-            trusted.schema,
-            trusted.read_set,
-        )
-        assert revalidated == trusted
-        assert revalidated._site_nodes == trusted._site_nodes
+        _assert_revalidates(_generate(spec, schema_seed, txn_seed))
 
-    @given(
-        workload_specs(),
-        st.integers(min_value=0, max_value=1000),
-        st.integers(min_value=0, max_value=1000),
-    )
+    @given(workload_specs(), seeds, seeds, st.randoms(use_true_random=False))
+    @settings(max_examples=60)
+    def test_validating_constructor_accepts_fixed_entities(
+        self, spec, schema_seed, txn_seed, picker
+    ):
+        pool = [f"e{i}" for i in range(spec.n_entities)]
+        entities = picker.sample(pool, picker.randint(0, len(pool)))
+        trusted = _generate(spec, schema_seed, txn_seed, entities)
+        _assert_revalidates(trusted)
+        if entities:
+            assert trusted.entities == frozenset(entities)
+
+    @given(workload_specs(), seeds)
+    @settings(max_examples=60)
+    def test_validating_constructor_accepts_random_system(self, spec, seed):
+        system = random_system(random.Random(seed), spec)
+        assert len(system) == spec.n_transactions
+        for trusted in system:
+            _assert_revalidates(trusted)
+
+    @given(workload_specs(), seeds, seeds)
     @settings(max_examples=60)
     def test_lazy_closure_answers_like_the_validated_dag(
         self, spec, schema_seed, txn_seed
     ):
-        validated, trusted, _, _ = _generate_both(
-            spec, schema_seed, txn_seed
-        )
-        v_dag, t_dag = validated.dag, trusted.dag
+        t_dag = _generate(spec, schema_seed, txn_seed).dag
+        v_dag = Dag(t_dag.n, t_dag.arcs)
+        assert t_dag._anc is None  # reading the arcs computed nothing
         assert t_dag.predecessor_masks() == v_dag.predecessor_masks()
         assert t_dag.successor_masks() == v_dag.successor_masks()
         for u in range(t_dag.n):
@@ -135,6 +129,10 @@ class TestTrustedEqualsValidated:
             t_dag.cached_topological_order()
             == v_dag.cached_topological_order()
         )
+        assert t_dag.transitive_closure_arcs() == (
+            v_dag.transitive_closure_arcs()
+        )
+        assert t_dag.transitive_reduction() == v_dag.transitive_reduction()
 
 
 def test_trusted_dag_defers_the_closure():
