@@ -218,7 +218,7 @@ def run_scenario(builder, repeats: int) -> dict:
         result = sim.run()
         wall = time.perf_counter() - start
         events = sim._events_processed
-        ops = len(sim._trace)
+        ops = len(sim._trace) // 3  # txn, node, attempt per operation
         entry = {
             "wall_s": round(wall, 4),
             "events": events,

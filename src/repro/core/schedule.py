@@ -8,7 +8,8 @@ each transaction under the same rules (Section 3).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator
+from itertools import chain
 
 from repro.core.entity import Entity
 from repro.core.operations import OpKind
@@ -27,27 +28,37 @@ class Schedule:
 
     Args:
         system: the transaction system.
-        steps: global nodes in execution order.
+        steps: global nodes (or plain ``(txn, node)`` pairs) in
+            execution order; any iterable, read once.
 
     Raises:
         IllegalScheduleError: if a step repeats, violates its transaction's
             partial order, or locks an entity currently held by another
             transaction.
+
+    The schedule keeps the steps it validated as flat ints, ``txn0,
+    node0, txn1, node1, ...``, and builds the :class:`GlobalNode` view
+    of :attr:`steps` only when it is read. The end-of-run verdict of an
+    open-system simulation validates hundreds of thousands of steps and
+    then reads only the masks and the lock orders, so it holds neither
+    a tuple nor a GlobalNode per step.
     """
 
     __slots__ = (
-        "system", "_raw_steps", "_steps_cache", "_masks", "_lock_orders",
+        "system", "_flat", "_steps_cache", "_masks", "_lock_orders",
     )
 
     def __init__(
         self,
         system: TransactionSystem,
-        steps: Sequence[GlobalNode | tuple[int, int]],
+        steps: Iterable[GlobalNode | tuple[int, int]],
     ):
         self.system = system
-        # Always copy: the validated sequence must not alias a caller
-        # list that could be mutated after validation.
-        steps = list(steps)
+        # Each accepted step is recorded here as it validates: a fresh
+        # list, so the schedule never aliases a caller list that could
+        # be mutated after validation, and a generator is read once.
+        flat: list[int] = []
+        record = flat.append
         n_txns = len(system)
         masks = [0] * n_txns
         holder: dict[Entity, int] = {}
@@ -121,27 +132,26 @@ class Schedule:
             elif kind is unlock_kind:
                 holder.pop(op.entity, None)
             masks[txn] = mask | (1 << node)
-        # The validated raw sequence; GlobalNode normalization happens
-        # lazily in :attr:`steps` — the end-of-run serializability
-        # verdict over a long open-system trace validates hundreds of
-        # thousands of steps and then only ever reads masks and lock
-        # orders, so wrapping every step up front was pure overhead.
-        self._raw_steps = steps
+            record(txn)
+            record(node)
+        self._flat = flat
         self._steps_cache: tuple[GlobalNode, ...] | None = None
         self._masks = tuple(masks)
         self._lock_orders = lock_orders
+
+    def _pairs(self) -> Iterator[tuple[int, int]]:
+        """The validated steps as plain ``(txn, node)`` pairs."""
+        ends = iter(self._flat)
+        return zip(ends, ends)
 
     @property
     def steps(self) -> tuple[GlobalNode, ...]:
         """The validated steps as :class:`GlobalNode` tuples."""
         cached = self._steps_cache
         if cached is None:
-            make = GlobalNode._make
             cached = self._steps_cache = tuple(
-                step if step.__class__ is GlobalNode else make(step)
-                for step in self._raw_steps
+                map(GlobalNode._make, self._pairs())
             )
-            self._raw_steps = None
         return cached
 
     # ------------------------------------------------------------------
@@ -185,8 +195,7 @@ class Schedule:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        raw = self._raw_steps
-        return len(raw) if raw is not None else len(self._steps_cache)
+        return len(self._flat) >> 1
 
     def __iter__(self):
         return iter(self.steps)
@@ -247,7 +256,7 @@ class Schedule:
     def extended(self, steps: Iterable[GlobalNode | tuple[int, int]]) -> (
             "Schedule"):
         """A new schedule with ``steps`` appended (revalidated)."""
-        return Schedule(self.system, list(self.steps) + list(steps))
+        return Schedule(self.system, chain(self._pairs(), steps))
 
     def describe(self) -> str:
         """Space-separated paper-style step labels."""

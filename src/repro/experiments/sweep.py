@@ -22,6 +22,7 @@ apply to every cell via :meth:`SweepSpec.cell_config`.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import multiprocessing
 import random
 from dataclasses import dataclass
@@ -146,9 +147,21 @@ def run_cell(spec: SweepSpec, cell: SweepCell) -> SimulationResult:
 def _run_cell_task(
     args: tuple[SweepSpec, SweepCell],
 ) -> SimulationResult:
-    """Module-level worker so the pool can pickle it."""
+    """Module-level worker so the pool can pickle it.
+
+    Frees the finished cell before the worker takes the next one. A
+    finished ``Simulator`` is cyclic garbage (its handlers are its
+    bound methods, and every subsystem holds the simulator), so it
+    outlives ``run_cell`` until the cyclic collector runs; a worker
+    left to the automatic collections carried several dead cells at
+    its peak. The collection runs here, in the pool worker, and not in
+    :func:`run_cell` or ``simulate``: a large caller process would pay
+    a full collection per call.
+    """
     spec, cell = args
-    return run_cell(spec, cell)
+    result = run_cell(spec, cell)
+    gc.collect()
+    return result
 
 
 def run_sweep(

@@ -52,8 +52,13 @@ def dpll_solve(formula: CnfFormula) -> dict[str, bool] | None:
     Returns:
         A satisfying assignment (total over the formula's variables), or
         None when unsatisfiable.
+
+    Each clause is kept as a tuple in formula order, repeats dropped,
+    so the pure literal and the branch literal are picked in that order
+    and the answer, its key order included, is the same under every
+    ``PYTHONHASHSEED`` (a set's iteration order follows string hashes).
     """
-    clauses = [frozenset(clause) for clause in formula.clauses]
+    clauses = [tuple(dict.fromkeys(clause)) for clause in formula.clauses]
     assignment = _dpll(clauses, {})
     if assignment is None:
         return None
@@ -64,8 +69,8 @@ def dpll_solve(formula: CnfFormula) -> dict[str, bool] | None:
 
 
 def _simplify(
-    clauses: list[frozenset[Literal]], variable: str, value: bool
-) -> list[frozenset[Literal]] | None:
+    clauses: list[tuple[Literal, ...]], variable: str, value: bool
+) -> list[tuple[Literal, ...]] | None:
     """Apply one assignment; None signals an emptied clause (conflict)."""
     result = []
     for clause in clauses:
@@ -82,12 +87,12 @@ def _simplify(
             continue
         if not kept:
             return None
-        result.append(frozenset(kept))
+        result.append(tuple(kept))
     return result
 
 
 def _dpll(
-    clauses: list[frozenset[Literal]], assignment: dict[str, bool]
+    clauses: list[tuple[Literal, ...]], assignment: dict[str, bool]
 ) -> dict[str, bool] | None:
     while True:
         if not clauses:
@@ -96,7 +101,7 @@ def _dpll(
         # Unit propagation.
         unit = next((c for c in clauses if len(c) == 1), None)
         if unit is not None:
-            lit = next(iter(unit))
+            lit = unit[0]
             simplified = _simplify(clauses, lit.variable, lit.positive)
             if simplified is None:
                 return None
@@ -127,7 +132,7 @@ def _dpll(
             continue
 
         # Branch on the first variable of the first clause.
-        lit = next(iter(clauses[0]))
+        lit = clauses[0][0]
         for value in (lit.positive, not lit.positive):
             simplified = _simplify(clauses, lit.variable, value)
             if simplified is None:

@@ -92,6 +92,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heappop as _heappop, heappush as _heappush
 from types import MappingProxyType
@@ -113,7 +114,7 @@ from repro.sim.observe import ObserveConfig, ObserverHub
 from repro.sim.policies import Decision, Policy, make_policy
 from repro.sim.replication import ReplicaManager
 from repro.sim.waitsfor import WaitsForGraph
-from repro.sim.workload import WorkloadSpec
+from repro.sim.workload import NO_READS, WorkloadSpec
 from repro.util.graphs import find_cycle, find_cycle_ints
 
 __all__ = ["SimulationConfig", "Simulator", "simulate"]
@@ -295,7 +296,7 @@ class _Instance:
         self.roots_mask = 0
         self.all_mask = 0
         self.lock_node_of: dict[int, int] = {}
-        self.shared_eids: frozenset[int] = frozenset()
+        self.shared_eids: frozenset[int] = NO_READS
         self.write_eids: tuple[int, ...] = ()
         self.cross_mask = 0
         # The client's home site: primary sid of the first entity —
@@ -367,11 +368,15 @@ class Simulator:
         self._events_processed = 0
         self._inflight = 0
         self._retained_total = 0
-        # (txn, node, attempt) per completed operation, appended in
-        # dispatch order — which IS (time, seq) order, so the entries
-        # need carry neither. The bound append is cached: one call per
-        # simulated operation.
-        self._trace: list[tuple[int, int, int]] = []
+        # Three flat ints per completed operation — txn, node, attempt
+        # — appended in dispatch order, which IS (time, seq) order, so
+        # the entries need carry neither. Flat, not one tuple per
+        # operation: an open run keeps its whole history until the
+        # verdict, and a tuple with its slot cost 72 bytes where the
+        # three slots cost 24 (the txn int is the one ``inst.index``
+        # owns). The bound append is cached: three calls per simulated
+        # operation.
+        self._trace: list[int] = []
         self._trace_append = self._trace.append
         self._on_conflict = self.policy.on_conflict
         # Policies that never abort anyone on conflict (blocking,
@@ -1333,7 +1338,10 @@ class Simulator:
             return  # stale event from an aborted attempt
         done = inst.done | 1 << node
         inst.done = done
-        self._trace_append((txn, node, attempt))
+        trace_append = self._trace_append
+        trace_append(txn)
+        trace_append(node)
+        trace_append(attempt)
         if inst.kinds[node] is _UNLOCK:
             eid = inst.eids[node]
             lock_sites = inst.lock_sites[eid]
@@ -1722,25 +1730,28 @@ class Simulator:
     # trace replay
     # ------------------------------------------------------------------
 
-    def _final_steps(self, committed_only: bool) -> list[tuple[int, int]]:
+    def _final_steps(
+        self, committed_only: bool
+    ) -> Iterator[tuple[int, int]]:
         # The trace is appended in dispatch order, which is already
         # (time, seq) order — the historical sort was a no-op and is
-        # gone. Steps stay plain (txn, node) pairs: Schedule validates
-        # raw pairs and wraps them as GlobalNodes only on demand, so
-        # the end-of-run verdict over a long trace never constructs
-        # them at all.
-        steps = []
-        append = steps.append
-        instances = self._instances
-        for txn, node, attempt in self._trace:
-            inst = instances[txn]
-            if committed_only and inst.status != _COMMITTED:
-                continue
-            if inst.status == _ABORTED:
-                continue
-            if attempt == inst.attempt:
-                append((txn, node))
-        return steps
+        # gone. Steps are yielded, not listed: Schedule validates plain
+        # (txn, node) pairs one at a time and keeps them as flat ints,
+        # so the end-of-run verdict over a long trace holds no tuple
+        # per step, and never constructs a GlobalNode at all. ``final``
+        # is, per transaction, the attempt whose operations the replay
+        # keeps: -1, which no attempt has, for one it leaves out.
+        final = [
+            inst.attempt
+            if inst.status != _ABORTED
+            and (not committed_only or inst.status == _COMMITTED)
+            else -1
+            for inst in self._instances
+        ]
+        entries = iter(self._trace)
+        for txn, node, attempt in zip(entries, entries, entries):
+            if attempt == final[txn]:
+                yield txn, node
 
     def _check_serializability(self) -> bool | None:
         """Replay the final attempts' operations as a Schedule and test

@@ -50,6 +50,11 @@ __all__ = [
 #: docstring).
 SHAPES = ("random", "two_phase", "sequential", "ordered_2pl")
 
+#: The one empty read set that every all-write generated transaction
+#: (and every simulator instance without shared-mode locks) shares:
+#: ``frozenset()`` is not a singleton, and each one costs 216 bytes.
+NO_READS: frozenset = frozenset()
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -330,7 +335,7 @@ class CompiledWorkload:
         # Reads are drawn before the sequence so the RNG stream position
         # is well defined; read_fraction == 0 draws nothing, which is
         # what keeps historical all-write workloads bit-identical.
-        read_set: frozenset[Entity] = frozenset()
+        read_set: frozenset[Entity] = NO_READS
         if spec.read_fraction > 0:
             read_fraction = spec.read_fraction
             read_set = frozenset(

@@ -15,6 +15,7 @@ subgraph.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 
 from repro.util.bitset import bits_of, from_indices
 
@@ -81,13 +82,20 @@ class Dag:
         (and the cached topological order) on first use, and
         :attr:`arcs` iterates in the validated order, so the resulting
         Dag answers every query exactly like a validated one.
+
+        The arcs are kept as one flat tuple of node ids in the order
+        given, ``u0, v0, u1, v1, ...``, not as the caller's ``(u, v)``
+        tuples, and :attr:`arcs` builds its pairs on first read: an
+        open-system run keeps every generated transaction, and one
+        tuple per arc was the largest thing it kept.
         """
         dag = object.__new__(cls)
         dag.n = n
-        arc_list = arcs if type(arcs) is list else list(arcs)
+        flat = tuple(chain.from_iterable(arcs))
         succ = [0] * n
         pred = [0] * n
-        for u, v in arc_list:
+        ends = iter(flat)
+        for u, v in zip(ends, ends):
             # Duplicate arcs just re-set the same bits, so the masks
             # need no dedup pass; the canonical frozenset (which does
             # dedup) is materialized only if someone asks for it.
@@ -96,7 +104,7 @@ class Dag:
         dag._succ = succ
         dag._pred = pred
         dag._arcs = None
-        dag._arc_src = arc_list
+        dag._arc_src = flat
         dag._desc = None
         dag._anc = None
         dag._topo = None
@@ -175,9 +183,11 @@ class Dag:
         """The direct (non-transitive) arcs as given at construction."""
         arcs = self._arcs
         if arcs is None:
-            # Through a set, as ``__init__`` builds it: the frozen copy
-            # then iterates in the same order as a validated Dag's.
-            arcs = self._arcs = frozenset(set(self._arc_src))
+            # Through a set filled in the given order, as ``__init__``
+            # builds it: the frozen copy then iterates in the same
+            # order as a validated Dag's.
+            ends = iter(self._arc_src)
+            arcs = self._arcs = frozenset(set(zip(ends, ends)))
             self._arc_src = None
         return arcs
 

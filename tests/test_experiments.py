@@ -1,7 +1,9 @@
 """The sweep package: grid construction, runner determinism, output."""
 
 import csv
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -14,7 +16,8 @@ from repro.experiments import (
     write_csv,
     write_json,
 )
-from repro.sim.runtime import SimulationConfig
+from repro.experiments.sweep import _run_cell_task
+from repro.sim.runtime import SimulationConfig, Simulator
 from repro.sim.workload import WorkloadSpec
 
 WORKLOAD = WorkloadSpec(
@@ -101,6 +104,32 @@ class TestRunnerDeterminism:
     def test_run_cell_is_reproducible(self):
         cell = SweepCell("wait-die", "two-phase", 0.8, 0.05, 1)
         assert run_cell(SPEC, cell) == run_cell(SPEC, cell)
+
+
+class TestWorkerFreesEachCell:
+    def test_finished_simulator_is_gone_when_the_task_returns(
+        self, monkeypatch
+    ):
+        # A finished Simulator is cyclic garbage, so only a collection
+        # frees it. With the automatic collector off, the pool worker's
+        # entry must free it itself before it takes the next cell.
+        refs = []
+        real_run = Simulator.run
+
+        def run(sim):
+            refs.append(weakref.ref(sim))
+            return real_run(sim)
+
+        monkeypatch.setattr(Simulator, "run", run)
+        cell = SweepCell("wait-die", "two-phase", 0.8, 0.05, 1)
+        gc.disable()
+        try:
+            result = _run_cell_task((SPEC, cell))
+            assert len(refs) == 1
+            assert refs[0]() is None
+        finally:
+            gc.enable()
+        assert result == run_cell(SPEC, cell)
 
 
 class TestRecordsAndOutput:

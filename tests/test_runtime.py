@@ -1,6 +1,9 @@
 """Tests for the discrete-event simulator (repro.sim.runtime)."""
 
 import dataclasses
+import gc
+import random
+import tracemalloc
 
 import pytest
 
@@ -14,6 +17,7 @@ from repro.sim.runtime import (
 )
 from repro.core.entity import DatabaseSchema
 from repro.core.system import TransactionSystem
+from repro.sim.workload import WorkloadSpec, random_system
 
 from tests.helpers import seq
 
@@ -244,16 +248,30 @@ class TestFastPathSurface:
 
     def test_trace_entries_are_bare_and_replayable(self):
         # The trace is appended in dispatch order — which *is*
-        # (time, seq) order — so entries carry only (txn, node,
-        # attempt), and the committed replay is a legal Schedule
-        # without any re-sorting.
+        # (time, seq) order — so an entry carries only txn, node and
+        # attempt, as three flat ints with no tuple per operation, and
+        # the committed replay is a legal Schedule without any
+        # re-sorting.
         sim = Simulator(deadlock_pair(), "wound-wait")
         sim.run()
-        assert sim._trace
-        assert all(len(entry) == 3 for entry in sim._trace)
-        n = len(sim.system)
-        assert all(0 <= txn < n for txn, _node, _att in sim._trace)
-        sim.committed_schedule()  # replays without IllegalScheduleError
+        trace = sim._trace
+        assert trace and len(trace) % 3 == 0
+        assert all(type(value) is int for value in trace)
+        entries = list(zip(trace[0::3], trace[1::3], trace[2::3]))
+        system = sim.system
+        assert all(
+            0 <= txn < len(system) and 0 <= node < system[txn].node_count
+            for txn, node, _attempt in entries
+        )
+        final = [
+            (txn, node)
+            for txn, node, attempt in entries
+            if attempt == sim._instances[txn].attempt
+        ]
+        # replays without IllegalScheduleError, in trace order
+        schedule = sim.committed_schedule()
+        assert schedule.is_complete()
+        assert list(schedule.steps) == final
 
 
 class TestTraceReplay:
@@ -273,6 +291,43 @@ class TestTraceReplay:
             assert result.committed == 2
             schedule = sim.committed_schedule()
             assert schedule.is_complete()
+
+
+class TestWhatARunKeeps:
+    # Bytes that tracemalloc attributes to a finished open-run
+    # Simulator, per operation it executed: about 300 (3.11) while the
+    # trace, the generated arcs and the empty read sets are flat or
+    # shared, about 460 when each operation and each arc was a tuple
+    # and each transaction had empty frozensets of its own.
+    KEPT_BYTES_PER_OP = 380
+
+    def test_open_run_keeps_its_history_flat(self):
+        spec = WorkloadSpec(
+            n_transactions=50, n_entities=64, n_sites=8,
+            entities_per_txn=(3, 5), actions_per_entity=(1, 3),
+            hotspot_skew=0.4,
+        )
+        config = SimulationConfig(
+            arrival_rate=0.3, max_transactions=1000, arrival_spread=50.0,
+            workload=spec, seed=0, workload_seed=0, max_time=400_000.0,
+        )
+        batch = random_system(random.Random(0), spec)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sim = Simulator(batch, "wound-wait", config)
+            result = sim.run()
+            ops = len(sim._trace) // 3
+            gc.collect()
+            live = tracemalloc.get_traced_memory()[0]
+            del sim
+            gc.collect()
+            kept = live - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert result.injected == 1000
+        assert result.committed == result.total and not result.truncated
+        assert kept / ops < self.KEPT_BYTES_PER_OP, (kept, ops)
 
 
 class TestStaleGrants:

@@ -120,3 +120,56 @@ class TestQueries:
         system = system2()
         s = Schedule(system, [(0, 0), (0, 1)])
         assert list(s) == [GlobalNode(0, 0), GlobalNode(0, 1)]
+
+
+def step_forms(pairs):
+    """The same steps as ``(txn, node)`` pairs, as GlobalNodes, and as a
+    one-shot generator (the form the simulator's verdict passes)."""
+    return {
+        "pairs": list(pairs),
+        "global nodes": [GlobalNode(txn, node) for txn, node in pairs],
+        "generator": (pair for pair in list(pairs)),
+    }
+
+
+class TestStepForms:
+    """A schedule is the same whatever form its steps arrive in."""
+
+    INTERLEAVED = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (0, 3)]
+
+    def test_views_agree(self):
+        system = system2()
+        views = []
+        for steps in step_forms(self.INTERLEAVED).values():
+            s = Schedule(system, steps)
+            views.append((
+                s.steps,
+                len(s),
+                s.describe(),
+                s.prefix().masks,
+                s.lock_sequences(),
+            ))
+        assert views[0] == views[1] == views[2]
+        steps, length = views[0][:2]
+        assert all(type(step) is GlobalNode for step in steps)
+        assert steps == tuple(self.INTERLEAVED) and length == 6
+
+    @pytest.mark.parametrize(
+        "illegal",
+        [
+            [(0, 0), (1, 0)],  # lock conflict
+            [(0, 0), (0, 2)],  # precedence
+            [(0, 0), (0, 1), (0, 0)],  # repeat
+            [(0, 0), (2, 0)],  # transaction out of range
+            [(1, 0), (1, 5)],  # node out of range
+        ],
+    )
+    def test_illegal_sequences_raise_the_same_error(self, illegal):
+        system = system2()
+        messages = set()
+        for steps in step_forms(illegal).values():
+            with pytest.raises(IllegalScheduleError) as info:
+                Schedule(system, steps)
+            messages.add(str(info.value))
+        assert len(messages) == 1, messages
+        assert messages.pop().startswith(f"step {len(illegal) - 1}:")

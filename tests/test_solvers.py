@@ -63,3 +63,26 @@ class TestDpll:
             bf = brute_force_satisfiable(f) is not None
             dp = dpll_solve(f) is not None
             assert bf == dp, f"trial {trial}: {f}"
+
+
+class TestDpllPinnedAnswers:
+    """``dpll_solve`` answers the same under every ``PYTHONHASHSEED``.
+
+    The pins, key order included, come from the solver that keeps each
+    clause as a tuple in formula order; a solver that walks its clauses
+    as sets picks its pure and branch literals in hash order, and fails
+    them under at least one of CI's two fixed hash seeds.
+    """
+
+    def test_figure5_formula(self):
+        from repro.paper.figures import figure5_formula
+
+        assignment = dpll_solve(figure5_formula())
+        assert list(assignment.items()) == [("x1", True), ("x2", True)]
+
+    def test_random_three_sat_prime(self):
+        formula = random_three_sat_prime(4, random.Random(2024))
+        assignment = dpll_solve(formula)
+        assert list(assignment.items()) == [
+            ("x1", True), ("x2", False), ("x3", True), ("x4", True),
+        ]
