@@ -28,99 +28,71 @@ Quickstart::
     print(bool(verdict), verdict.reason)
 """
 
-from repro.analysis import (
-    PairViolation,
-    SerializationViolation,
-    Verdict,
-    check_centralized_pair,
-    check_copies,
-    check_pair,
-    check_pair_minimal_prefix,
-    check_system,
-    check_two_copies,
-    find_deadlock,
-    is_deadlock_free,
-    is_pair_safe_deadlock_free,
-    is_safe,
-    is_safe_and_deadlock_free,
-    repair_system,
-    tirri_check_pair,
-)
-from repro.analysis.theorem1 import (
-    find_deadlock_prefix,
-    is_deadlock_free_theorem1,
-)
-from repro.analysis.witnesses import DeadlockWitness
-from repro.core import (
-    DatabaseSchema,
-    GlobalNode,
-    IllegalScheduleError,
-    MalformedTransactionError,
-    Operation,
-    OpKind,
-    Schedule,
-    SystemPrefix,
-    Transaction,
-    TransactionBuilder,
-    TransactionSystem,
-    d_graph,
-    is_deadlock_partial_schedule,
-    is_deadlock_prefix,
-    is_serializable,
-    prefix_has_schedule,
-    reduction_graph,
-)
-from repro.reductions import (
-    CnfFormula,
-    encode_formula,
-    random_three_sat_prime,
-)
-from repro.sim import SimulationConfig, Simulator, simulate
+import importlib
+
+# Each top-level name and the module that defines it. The names load on
+# first access (PEP 562), so importing one subpackage — the simulator,
+# say — does not pay for the static analyses and reductions.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "PairViolation", "SerializationViolation", "Verdict",
+            "check_centralized_pair", "check_copies", "check_pair",
+            "check_pair_minimal_prefix", "check_system",
+            "check_two_copies", "find_deadlock", "is_deadlock_free",
+            "is_pair_safe_deadlock_free", "is_safe",
+            "is_safe_and_deadlock_free", "repair_system",
+            "tirri_check_pair",
+        ),
+        "repro.analysis",
+    ),
+    **dict.fromkeys(
+        ("find_deadlock_prefix", "is_deadlock_free_theorem1"),
+        "repro.analysis.theorem1",
+    ),
+    "DeadlockWitness": "repro.analysis.witnesses",
+    **dict.fromkeys(
+        (
+            "DatabaseSchema", "GlobalNode", "IllegalScheduleError",
+            "MalformedTransactionError", "Operation", "OpKind",
+            "Schedule", "SystemPrefix", "Transaction",
+            "TransactionBuilder", "TransactionSystem", "d_graph",
+            "is_deadlock_partial_schedule", "is_deadlock_prefix",
+            "is_serializable", "prefix_has_schedule", "reduction_graph",
+        ),
+        "repro.core",
+    ),
+    **dict.fromkeys(
+        ("CnfFormula", "encode_formula", "random_three_sat_prime"),
+        "repro.reductions",
+    ),
+    **dict.fromkeys(
+        ("SimulationConfig", "Simulator", "simulate"), "repro.sim"
+    ),
+}
+
+_SUBMODULES = frozenset((
+    "analysis", "cli", "core", "experiments", "io", "paper",
+    "reductions", "sim", "util",
+))
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module(module), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS) | _SUBMODULES)
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CnfFormula",
-    "DatabaseSchema",
-    "DeadlockWitness",
-    "GlobalNode",
-    "IllegalScheduleError",
-    "MalformedTransactionError",
-    "OpKind",
-    "Operation",
-    "PairViolation",
-    "Schedule",
-    "SerializationViolation",
-    "SimulationConfig",
-    "Simulator",
-    "SystemPrefix",
-    "Transaction",
-    "TransactionBuilder",
-    "TransactionSystem",
-    "Verdict",
-    "__version__",
-    "check_centralized_pair",
-    "check_copies",
-    "check_pair",
-    "check_pair_minimal_prefix",
-    "check_system",
-    "check_two_copies",
-    "d_graph",
-    "encode_formula",
-    "find_deadlock",
-    "find_deadlock_prefix",
-    "is_deadlock_free",
-    "is_deadlock_free_theorem1",
-    "is_deadlock_partial_schedule",
-    "is_deadlock_prefix",
-    "is_pair_safe_deadlock_free",
-    "is_safe",
-    "is_safe_and_deadlock_free",
-    "is_serializable",
-    "prefix_has_schedule",
-    "random_three_sat_prime",
-    "reduction_graph",
-    "repair_system",
-    "simulate",
-    "tirri_check_pair",
-]
+__all__ = sorted([*_EXPORTS, "__version__"])

@@ -451,6 +451,7 @@ def _run_config(args: argparse.Namespace, **overrides):
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.core.system import TransactionSystem
+    from repro.sim.arrivals import ArrivalStream
     from repro.sim.metrics import SimulationResult
     from repro.sim.network import NetworkConfig
     from repro.sim.runtime import Simulator
@@ -470,6 +471,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     grid = len(args.policies) * len(args.commit) > 1
     results = []
+    # Runs that differ only in policy or protocol inject the same
+    # arrivals: each reads the previous run's stream when its key
+    # matches, so a one-seed grid generates its traffic once.
+    stream = None
     for policy in args.policies:
         for protocol in args.commit:
             for run in range(args.runs):
@@ -494,7 +499,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     )
                 except ValueError as exc:  # a config class's range check
                     return _usage_error("simulate", exc)
-                sim = Simulator(system, policy, config)
+                if open_system:
+                    stream = ArrivalStream.reuse(stream, system, config)
+                sim = Simulator(system, policy, config, stream=stream)
                 results.append(sim.run())
                 if sim.observe is not None:
                     _export_observability(sim, args, suffix)
@@ -1024,6 +1031,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Every subcommand that reads an input file names it ``file``. One
+    # that cannot be read is a usage error (exit 2), not a traceback —
+    # and not analyze's exit 1, which reports a violation.
+    path = getattr(args, "file", None)
+    if path is not None:
+        try:
+            open(path, "rb").close()
+        except OSError as exc:
+            return _usage_error(
+                args.command, f"cannot read {path}: {exc.strerror or exc}"
+            )
     return args.func(args)
 
 

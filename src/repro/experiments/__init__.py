@@ -12,7 +12,8 @@ parallel sweep is bit-identical to running the same cells serially —
 the regression suite asserts exactly that. Cells sharing a replicate
 seed across policies/protocols also share their workload and arrival
 randomness, which makes row-wise comparisons paired rather than merely
-independent.
+independent — and, run in one batch, they read one arrival stream, so
+a batch generates its replicate's traffic once.
 
 :func:`sweep_records` flattens results for analysis; :func:`write_json`
 and :func:`write_csv` persist them.

@@ -11,7 +11,18 @@ the *same* batch; open-system cells start empty and let the arrival
 process inject traffic over the schema derived from the same
 ``workload_seed``. Either way a cell depends only on picklable spec
 data, which is what lets :func:`run_sweep` fan cells out to worker
-processes without any shared state.
+processes.
+
+Inside one process the cells share what they would otherwise rebuild.
+Every open cell of one replicate seed injects the same arrivals (see
+:class:`~repro.sim.arrivals.ArrivalStream`: policy, protocol, rates
+and chaos do not change them), so :func:`run_sweep` orders the cells
+by seed and cuts them into batches that never span two seeds; a pool
+worker takes one batch at a time. A batch builds the closed batch
+once, and reads its seed's arrivals from one stream that generates
+every transaction once for all of the batch's cells. The cells share
+these objects read-only, so a cell's result is the same in any batch,
+on any worker.
 
 The commit-protocol axis accepts every registered protocol name
 (including ``paxos-commit``); knobs that are not grid axes — e.g.
@@ -28,6 +39,7 @@ import random
 from dataclasses import dataclass
 
 from repro.core.system import TransactionSystem
+from repro.sim.arrivals import ArrivalStream
 from repro.sim.metrics import SimulationResult
 from repro.sim.runtime import SimulationConfig, simulate
 from repro.sim.workload import WorkloadSpec, random_system
@@ -144,24 +156,66 @@ def run_cell(spec: SweepSpec, cell: SweepCell) -> SimulationResult:
     )
 
 
-def _run_cell_task(
-    args: tuple[SweepSpec, SweepCell],
-) -> SimulationResult:
-    """Module-level worker so the pool can pickle it.
+def _run_batch(
+    spec: SweepSpec, cells: list[SweepCell], collect: bool
+) -> list[SimulationResult]:
+    """Run ``cells`` in order; the results align with them.
 
-    Frees the finished cell before the worker takes the next one. A
+    The cells share one closed batch and, while consecutive open cells
+    read the same arrivals, one stream; a cell whose stream key differs
+    replaces the stream, so the batch holds one at a time.
+
+    ``collect`` frees each finished cell before the next one starts. A
     finished ``Simulator`` is cyclic garbage (its handlers are its
     bound methods, and every subsystem holds the simulator), so it
-    outlives ``run_cell`` until the cyclic collector runs; a worker
-    left to the automatic collections carried several dead cells at
-    its peak. The collection runs here, in the pool worker, and not in
-    :func:`run_cell` or ``simulate``: a large caller process would pay
-    a full collection per call.
+    outlives its cell until the cyclic collector runs; a worker left
+    to the automatic collections carried several dead cells at its
+    peak. Only pool workers collect: a large caller process would pay
+    a full collection per cell.
     """
-    spec, cell = args
-    result = run_cell(spec, cell)
-    gc.collect()
-    return result
+    systems: dict[bool, TransactionSystem] = {}
+    stream = None
+    results = []
+    for cell in cells:
+        is_open = cell.arrival_rate > 0
+        system = systems.get(is_open)
+        if system is None:
+            system = systems[is_open] = spec.cell_system(cell)
+        config = spec.cell_config(cell)
+        if is_open:
+            stream = ArrivalStream.reuse(stream, system, config)
+        results.append(simulate(
+            system, cell.policy, config, stream=stream if is_open else None
+        ))
+        if collect:
+            gc.collect()
+    return results
+
+
+def _batches(cells: list[SweepCell], workers: int) -> list[list[int]]:
+    """Cell indices in seed order, the stream order, cut into batches.
+
+    One worker gets one batch of every cell. For a pool, each seed's
+    cells are cut into the same number of near-equal contiguous runs,
+    enough for twice as many batches as ``workers`` (one run per seed
+    when there are that many seeds): no batch spans two seeds, and the
+    spare batches let the pool balance cells of unequal cost. Each
+    worker that takes a run of a seed builds that seed's stream.
+    """
+    runs: dict[int, list[int]] = {}
+    for index, cell in enumerate(cells):
+        runs.setdefault(cell.seed, []).append(index)
+    ordered = [runs[seed] for seed in sorted(runs)]
+    if workers <= 1:
+        return [[index for run in ordered for index in run]]
+    pieces = -(-2 * workers // len(ordered))
+    batches = []
+    for run in ordered:
+        count = min(pieces, len(run))
+        size, extra = divmod(len(run), count)
+        bounds = [k * size + min(k, extra) for k in range(count + 1)]
+        batches.extend(run[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+    return batches
 
 
 def run_sweep(
@@ -174,16 +228,28 @@ def run_sweep(
     Args:
         spec: the grid to run.
         processes: worker count (None = one per CPU, capped at the
-            cell count).
+            batch count). A worker takes the next of the seed-ordered
+            batches of :func:`_batches` when it finishes one.
         parallel: False forces serial in-process execution — the
             reference the parallel path is tested bit-identical to.
     """
     cells = spec.cells()
-    if not parallel or len(cells) <= 1 or processes == 1:
-        return [run_cell(spec, cell) for cell in cells]
-    if processes is None:
+    if not parallel or len(cells) <= 1:
+        processes = 1
+    elif processes is None:
         processes = multiprocessing.cpu_count()
-    processes = max(1, min(processes, len(cells)))
-    tasks = [(spec, cell) for cell in cells]
-    with multiprocessing.Pool(processes) as pool:
-        return pool.map(_run_cell_task, tasks, chunksize=1)
+    batches = _batches(cells, processes)
+    tasks = [
+        (spec, [cells[index] for index in batch], processes > 1)
+        for batch in batches
+    ]
+    if processes <= 1:
+        outputs = [_run_batch(*task) for task in tasks]
+    else:
+        with multiprocessing.Pool(min(processes, len(batches))) as pool:
+            outputs = pool.starmap(_run_batch, tasks, chunksize=1)
+    results = [None] * len(cells)
+    for batch, output in zip(batches, outputs):
+        for index, result in zip(batch, output):
+            results[index] = result
+    return results

@@ -49,7 +49,7 @@ recorder that dumps the recent past on deadlocks, crashes, and abort
 cascades — with no per-event cost when disabled.
 """
 
-from repro.sim.arrivals import ArrivalProcess, OpenSystem
+from repro.sim.arrivals import ArrivalProcess, ArrivalStream, OpenSystem
 from repro.sim.commit import (
     CommitProtocol,
     InstantCommit,
@@ -104,6 +104,7 @@ from repro.sim.workload import (
 
 __all__ = [
     "ArrivalProcess",
+    "ArrivalStream",
     "BlockingPolicy",
     "CommitProtocol",
     "DetectionPolicy",

@@ -102,7 +102,7 @@ from repro.core.schedule import Schedule
 from repro.core.serialization import is_serializable
 from repro.core.system import GlobalNode, TransactionSystem
 from repro.core.transaction import Transaction
-from repro.sim.arrivals import ArrivalProcess, OpenSystem
+from repro.sim.arrivals import ArrivalProcess, ArrivalStream, OpenSystem
 from repro.sim.commit import make_protocol
 from repro.sim.durability import DurabilityConfig, DurabilityManager
 from repro.sim.events import EventQueue, HandlerRegistry
@@ -305,13 +305,30 @@ class _Instance:
 
 
 class Simulator:
-    """One simulation run over a system, policy, and configuration."""
+    """One simulation run over a system, policy, and configuration.
+
+    Args:
+        system: the closed batch (empty for a pure open system).
+        policy: contention policy, or its registered name.
+        config: run configuration (defaults throughout when None).
+        stream: the :class:`~repro.sim.arrivals.ArrivalStream` an open
+            run injects from. None (the default) builds the run's own;
+            runs whose system and config derive the same key (the
+            cells of one sweep replicate) may pass one shared stream,
+            which then generates each arrival once for all of them.
+
+    Raises:
+        ValueError: if ``stream`` was built for a run with another key,
+            or is given to a closed run (``arrival_rate`` 0).
+    """
 
     def __init__(
         self,
         system: TransactionSystem,
         policy: Policy | str = "blocking",
         config: SimulationConfig | None = None,
+        *,
+        stream: ArrivalStream | None = None,
     ):
         self.system: TransactionSystem | OpenSystem = system
         self.policy = (
@@ -328,11 +345,13 @@ class Simulator:
         if self.config.arrival_rate > 0:
             # Open system: wrap the (possibly empty) closed batch in a
             # growable view over the merged batch + arrival schema.
-            self.arrivals = ArrivalProcess(self)
+            self.arrivals = ArrivalProcess(self, stream)
             self.system = OpenSystem(
                 system.transactions,
                 system.schema.merged_with(self.arrivals.schema),
             )
+        elif stream is not None:
+            raise ValueError("a closed run (arrival_rate 0) has no arrivals")
         # Intern the schema: dense ids in sorted name order, so id
         # order reproduces every historically sorted iteration (site
         # release order in _abort, retained-lock order, participant
@@ -1831,9 +1850,11 @@ def simulate(
     system: TransactionSystem,
     policy: Policy | str = "blocking",
     config: SimulationConfig | None = None,
+    *,
+    stream: ArrivalStream | None = None,
 ) -> SimulationResult:
     """Convenience wrapper: build a Simulator and run it."""
-    return Simulator(system, policy, config).run()
+    return Simulator(system, policy, config, stream=stream).run()
 
 
 def find_deadlocking_seed(

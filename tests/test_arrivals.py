@@ -7,9 +7,9 @@ from repro.core.prefix import SystemPrefix
 from repro.core.system import TransactionSystem
 from repro.core.transaction import Transaction
 from repro.io.dot import system_to_dot
-from repro.sim.arrivals import ArrivalProcess, OpenSystem
+from repro.sim.arrivals import ArrivalProcess, ArrivalStream, OpenSystem
 from repro.sim.runtime import SimulationConfig, Simulator, simulate
-from repro.sim.workload import WorkloadSpec
+from repro.sim.workload import CompiledWorkload, WorkloadSpec
 
 SPEC = WorkloadSpec(
     n_entities=8,
@@ -115,6 +115,95 @@ class TestDeterminism:
             empty(), "wound-wait", open_config(workload_seed=9)
         )
         assert a.arrivals.schema != b.arrivals.schema
+
+
+class TestArrivalStream:
+    """Runs that derive one key may share one stream; a stream built
+    for another key is refused, never silently read."""
+
+    @staticmethod
+    def colliding_batch() -> TransactionSystem:
+        # Closed-batch names that collide with the arrivals' TXn names.
+        schema = DatabaseSchema.single_site(["x"], site="s0")
+        return TransactionSystem([
+            Transaction.sequential(name, ["Lx", "A.x", "Ux"], schema)
+            for name in ("TX1", "TX3")
+        ])
+
+    def test_shared_stream_run_equals_own_stream_run(self, monkeypatch):
+        batch = self.colliding_batch()
+        config = open_config(failure_rate=0.02, repair_time=5.0)
+        stream = ArrivalStream(batch, config)
+        shared = []
+        generated = []
+        real_generate = CompiledWorkload.generate
+
+        def generate(self, name, rng, entities=None):
+            generated.append(name)
+            return real_generate(self, name, rng, entities)
+
+        monkeypatch.setattr(CompiledWorkload, "generate", generate)
+        for policy in ("wound-wait", "wait-die", "detect"):
+            sim = Simulator(batch, policy, config, stream=stream)
+            shared.append(sim.run())
+            assert {"TX1'", "TX3'"} <= {t.name for t in sim.system}
+        # Generated once, for all three runs.
+        assert len(generated) == 40
+        monkeypatch.undo()
+        assert shared == [
+            simulate(batch, policy, config)
+            for policy in ("wound-wait", "wait-die", "detect")
+        ]
+
+    def test_transaction_i_does_not_depend_on_the_reader(self):
+        config = open_config()
+        first, second = ArrivalStream(empty(), config), ArrivalStream(
+            empty(), config
+        )
+        late = second[7]  # generated out of order, from the same seed
+        assert [t.name for t in (first[7], late)] == ["TX8", "TX8"]
+        assert first[7].ops == late.ops
+        assert first[7].dag.arcs == late.dag.arcs
+        assert first[7] is first[7]
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            dict(seed=1),
+            dict(workload=WorkloadSpec(n_entities=9, n_sites=3)),
+            dict(workload_seed=9),
+        ],
+        ids=["seed", "workload", "workload_seed"],
+    )
+    def test_stream_for_another_config_is_refused(self, other):
+        stream = ArrivalStream(empty(), open_config())
+        with pytest.raises(ValueError, match="another run"):
+            Simulator(empty(), "wound-wait", open_config(**other),
+                      stream=stream)
+
+    def test_stream_for_another_base_batch_is_refused(self):
+        stream = ArrivalStream(empty(), open_config())
+        with pytest.raises(ValueError, match="another run"):
+            Simulator(self.colliding_batch(), "wound-wait", open_config(),
+                      stream=stream)
+
+    def test_closed_run_refuses_a_stream(self):
+        stream = ArrivalStream(empty(), open_config())
+        with pytest.raises(ValueError, match="closed run"):
+            Simulator(empty(), "wound-wait", SimulationConfig(),
+                      stream=stream)
+
+    def test_reuse_keeps_a_matching_stream_only(self):
+        config = open_config()
+        stream = ArrivalStream(empty(), config)
+        same = dict(arrival_rate=0.3, failure_rate=0.1, repair_time=5.0,
+                    commit_protocol="two-phase")
+        assert ArrivalStream.reuse(
+            stream, empty(), open_config(**same)
+        ) is stream
+        fresh = ArrivalStream.reuse(stream, empty(), open_config(seed=4))
+        assert fresh is not stream
+        assert fresh.key == ArrivalStream.key_of(empty(), open_config(seed=4))
 
 
 class TestRunUntil:

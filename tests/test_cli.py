@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -117,3 +121,58 @@ class TestRoundTripThroughCli:
         main(["analyze", str(path)])
         out = capsys.readouterr().out
         assert "T3" in out
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def quick_start_commands() -> list[tuple[str, int]]:
+    """README's quick-start ``repro`` commands with their documented
+    exit codes (a trailing ``# ... exits N ...`` comment; 0 otherwise)."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Quick start", 1)[1].split("```bash", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    commands = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if " -m repro " not in command:
+            continue
+        code = re.search(r"exits (\d)", comment)
+        commands.append((command.strip(), int(code[1]) if code else 0))
+    return commands
+
+
+class TestReadmeQuickStart:
+    def test_example_file_lines_give_their_documented_exit_codes(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(REPO)
+        lines = [
+            (command, code)
+            for command, code in quick_start_commands()
+            if "examples.txn" in command
+        ]
+        assert [code for _command, code in lines] == [1, 0]
+        for command, code in lines:
+            argv = shlex.split(command.split(" -m repro ", 1)[1])
+            assert main(argv) == code, command
+        assert "Theorem 3" in capsys.readouterr().out
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "command",
+        ["analyze", "deadlock", "simulate", "show", "repair", "trace"],
+    )
+    def test_missing_file_is_a_usage_error(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.txn"
+        assert main([command, str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == (
+            f"{command}: cannot read {missing}: No such file or directory\n"
+        )
+
+    def test_directory_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("analyze: cannot read ")

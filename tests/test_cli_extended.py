@@ -118,6 +118,45 @@ class TestSimulateOpenSystem:
         out = capsys.readouterr().out
         assert "serializable" in out  # closed-batch table, not open
 
+    def test_grid_shares_its_stream(self, monkeypatch):
+        # Every run of a one-seed policy x protocol grid injects the
+        # same arrivals: the grid generates them once, and each of its
+        # results equals a lone run of that cell.
+        from repro.sim.runtime import Simulator
+        from repro.sim.workload import CompiledWorkload
+
+        results, generated = [], []
+        real_run = Simulator.run
+        real_generate = CompiledWorkload.generate
+
+        def run(sim):
+            results.append(real_run(sim))
+            return results[-1]
+
+        def generate(self, name, rng, entities=None):
+            generated.append(name)
+            return real_generate(self, name, rng, entities)
+
+        monkeypatch.setattr(Simulator, "run", run)
+        monkeypatch.setattr(CompiledWorkload, "generate", generate)
+        base = self.ARGS[:-2]
+        policies, protocols = ["wound-wait", "wait-die"], [
+            "instant", "two-phase"
+        ]
+        assert main([
+            *base, "--policies", *policies, "--commit", *protocols
+        ]) == 0
+        grid = list(results)
+        assert len(grid) == 4
+        assert len(generated) == 30
+        results.clear()
+        for policy in policies:
+            for protocol in protocols:
+                assert main([
+                    *base, "--policies", policy, "--commit", protocol
+                ]) == 0
+        assert results == grid
+
 
 class TestSweep:
     ARGS = [
@@ -236,7 +275,7 @@ class TestFlagsSetFields:
         class RecordingSimulator:
             observe = None
 
-            def __init__(self, system, policy, config):
+            def __init__(self, system, policy, config, stream=None):
                 self.policy = policy
                 calls.append((policy, config))
 

@@ -16,9 +16,10 @@ from repro.experiments import (
     write_csv,
     write_json,
 )
-from repro.experiments.sweep import _run_cell_task
+from repro.experiments import sweep as sweep_module
+from repro.experiments.sweep import _batches, _run_batch
 from repro.sim.runtime import SimulationConfig, Simulator
-from repro.sim.workload import WorkloadSpec
+from repro.sim.workload import CompiledWorkload, WorkloadSpec
 
 WORKLOAD = WorkloadSpec(
     n_transactions=5,
@@ -112,7 +113,7 @@ class TestWorkerFreesEachCell:
     ):
         # A finished Simulator is cyclic garbage, so only a collection
         # frees it. With the automatic collector off, the pool worker's
-        # entry must free it itself before it takes the next cell.
+        # batch must free it itself before it takes the next cell.
         refs = []
         real_run = Simulator.run
 
@@ -124,12 +125,136 @@ class TestWorkerFreesEachCell:
         cell = SweepCell("wait-die", "two-phase", 0.8, 0.05, 1)
         gc.disable()
         try:
-            result = _run_cell_task((SPEC, cell))
+            [result] = _run_batch(SPEC, [cell], True)
             assert len(refs) == 1
             assert refs[0]() is None
         finally:
             gc.enable()
         assert result == run_cell(SPEC, cell)
+
+    def test_batch_frees_each_cell_and_each_stream(self, monkeypatch):
+        # Two streams (seeds 0 and 1), two cells each. When a cell
+        # starts, every earlier cell's Simulator is dead; once the
+        # batch moves to the second stream, the first is dead too.
+        sims, streams, seen = [], [], []
+        real_run = Simulator.run
+
+        def run(sim):
+            stream = sim.arrivals.stream
+            earlier = streams[-1]() if streams else None
+            seen.append((
+                sum(ref() is not None for ref in sims),
+                earlier is not None and earlier is not stream,
+            ))
+            if earlier is not stream:
+                streams.append(weakref.ref(stream))
+            sims.append(weakref.ref(sim))
+            return real_run(sim)
+
+        monkeypatch.setattr(Simulator, "run", run)
+        cells = [
+            SweepCell(policy, "two-phase", 0.8, 0.0, seed)
+            for seed in (0, 1)
+            for policy in ("wound-wait", "wait-die")
+        ]
+        gc.disable()
+        try:
+            results = _run_batch(SPEC, cells, True)
+            assert seen == [(0, False)] * 4
+            assert len(streams) == 2
+            assert all(ref() is None for ref in sims + streams)
+        finally:
+            gc.enable()
+        assert results == [run_cell(SPEC, cell) for cell in cells]
+
+
+def open_grid(**overrides) -> SweepSpec:
+    """2 policies x 2 protocols x 2 seeds of open cells."""
+    fields = dict(
+        policies=("wound-wait", "wait-die"),
+        protocols=("instant", "two-phase"),
+        arrival_rates=(0.8,),
+        seeds=(0, 1),
+        workload=WORKLOAD,
+        base=SPEC.base,
+    )
+    fields.update(overrides)
+    return SweepSpec(**fields)
+
+
+class TestBatchesShareTheirStreams:
+    """A batch generates each replicate's arrivals once and builds the
+    closed batch once; a pool's batches never span two seeds."""
+
+    def test_generate_runs_once_per_seed_and_arrival(self, monkeypatch):
+        spec = open_grid()
+        calls = []
+        real_generate = CompiledWorkload.generate
+
+        def generate(self, name, rng, entities=None):
+            calls.append(name)
+            return real_generate(self, name, rng, entities)
+
+        monkeypatch.setattr(CompiledWorkload, "generate", generate)
+        results = run_sweep(spec, parallel=False)
+        assert all(r.injected == 25 for r in results)
+        # Once per (seed, arrival); one generation per cell would be
+        # four times as many.
+        assert len(calls) == len(spec.seeds) * 25
+
+    def test_results_equal_lone_cells_in_cell_order(self):
+        spec = open_grid(
+            arrival_rates=(0.0, 0.8), failure_rates=(0.0, 0.05)
+        )
+        assert run_sweep(spec, parallel=False) == [
+            run_cell(spec, cell) for cell in spec.cells()
+        ]
+
+    def test_batch_builds_the_closed_batch_once(self, monkeypatch):
+        built = []
+        real_random_system = sweep_module.random_system
+
+        def random_system(rng, workload):
+            built.append(workload)
+            return real_random_system(rng, workload)
+
+        monkeypatch.setattr(sweep_module, "random_system", random_system)
+        cells = [cell for cell in SPEC.cells() if cell.arrival_rate == 0]
+        results = _run_batch(SPEC, cells[:6], False)
+        assert len(built) == 1
+        monkeypatch.undo()
+        assert results == [run_cell(SPEC, cell) for cell in cells[:6]]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5, 7, 48])
+    def test_split_keeps_each_batch_to_one_seed(self, workers):
+        cells = SPEC.cells()
+        batches = _batches(cells, workers)
+        # Every cell in exactly one batch, and the batches, read in
+        # order, are the cells stably sorted by seed.
+        flat = [index for batch in batches for index in batch]
+        assert flat == sorted(range(len(cells)), key=lambda i: cells[i].seed)
+        if workers == 1:
+            assert len(batches) == 1
+            return
+        # At least two batches per worker where the cells allow, none
+        # spanning two seeds, and each seed's runs near-equal.
+        assert len(batches) >= min(2 * workers, len(cells))
+        sizes = {}
+        for batch in batches:
+            assert len({cells[index].seed for index in batch}) == 1
+            sizes.setdefault(cells[batch[0]].seed, []).append(len(batch))
+        assert all(max(s) - min(s) <= 1 for s in sizes.values())
+        assert len({len(s) for s in sizes.values()}) == 1
+
+    def test_enough_seeds_give_one_batch_per_seed(self):
+        # Four seeds on two workers, as in perfbench's sweep-grid: each
+        # seed's stream is built by exactly one batch.
+        spec = open_grid(seeds=(0, 1, 2, 3))
+        cells = spec.cells()
+        batches = _batches(cells, 2)
+        assert [sorted({cells[i].seed for i in b}) for b in batches] == [
+            [0], [1], [2], [3]
+        ]
 
 
 class TestRecordsAndOutput:
