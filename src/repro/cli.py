@@ -472,9 +472,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     grid = len(args.policies) * len(args.commit) > 1
     results = []
     # Runs that differ only in policy or protocol inject the same
-    # arrivals: each reads the previous run's stream when its key
-    # matches, so a one-seed grid generates its traffic once.
-    stream = None
+    # arrivals: run i of every cell reads stream i, so each seed's
+    # traffic is generated once for the whole grid.
+    streams = [None] * args.runs
     for policy in args.policies:
         for protocol in args.commit:
             for run in range(args.runs):
@@ -500,8 +500,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 except ValueError as exc:  # a config class's range check
                     return _usage_error("simulate", exc)
                 if open_system:
-                    stream = ArrivalStream.reuse(stream, system, config)
-                sim = Simulator(system, policy, config, stream=stream)
+                    streams[run] = ArrivalStream.reuse(
+                        streams[run], system, config
+                    )
+                sim = Simulator(system, policy, config, stream=streams[run])
                 results.append(sim.run())
                 if sim.observe is not None:
                     _export_observability(sim, args, suffix)

@@ -38,10 +38,9 @@ class Schedule:
 
     The schedule keeps the steps it validated as flat ints, ``txn0,
     node0, txn1, node1, ...``, and builds the :class:`GlobalNode` view
-    of :attr:`steps` only when it is read. The end-of-run verdict of an
-    open-system simulation validates hundreds of thousands of steps and
-    then reads only the masks and the lock orders, so it holds neither
-    a tuple nor a GlobalNode per step.
+    of :attr:`steps` only when it is read, so a long schedule whose
+    masks and lock orders are all a caller reads holds neither a tuple
+    nor a GlobalNode per step.
     """
 
     __slots__ = (
@@ -63,10 +62,9 @@ class Schedule:
         masks = [0] * n_txns
         holder: dict[Entity, int] = {}
         # Entity -> lockers in lock order, recorded as a by-product of
-        # the holder bookkeeping: the D(S) construction and the
-        # conflict-graph test both start from exactly this table, and
-        # on long open-system traces a second full pass over the steps
-        # was the bigger half of their cost.
+        # the holder bookkeeping: the D(S) construction starts from
+        # exactly this table, so it needs no second pass over the
+        # steps.
         lock_orders: dict[Entity, list[int]] = {}
         # Per-transaction hot data, fetched once per transaction
         # instead of once per step.
@@ -231,23 +229,12 @@ class Schedule:
 
         Equivalent to ``{e: lock_sequence(e) for e in entities}``; the
         table itself was recorded while the schedule validated, so this
-        is a copy, not a rescan — the D(S) construction over the long
-        traces of open-system runs leans on that.
+        is a copy, not a rescan.
         """
         return {
             entity: list(order)
             for entity, order in self._lock_orders.items()
         }
-
-    def lock_sequences_view(self) -> dict[Entity, list[int]]:
-        """The lock-order table itself (borrowed; do not mutate).
-
-        For read-only hot-path consumers — the serializability verdict
-        iterates every per-entity locker list exactly once, and the
-        defensive copies of :meth:`lock_sequences` were its largest
-        remaining allocation.
-        """
-        return self._lock_orders
 
     def subsequence_of(self, txn: int) -> list[int]:
         """Node ids of transaction ``txn`` in schedule order."""

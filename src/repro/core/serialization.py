@@ -14,7 +14,7 @@ schedule S'.
 from __future__ import annotations
 
 from repro.core.schedule import Schedule
-from repro.util.graphs import Digraph, find_cycle_ints
+from repro.util.graphs import Digraph
 
 __all__ = [
     "d_graph",
@@ -70,41 +70,8 @@ def is_serializable(schedule: Schedule) -> bool:
 
     Meaningful for complete schedules; for partial schedules this is the
     Lemma 1 acyclicity condition on D(S').
-
-    Builds the sparse form of D as a plain adjacency map instead of a
-    labelled :class:`Digraph` — the arc set is the one ``d_graph(...,
-    full=False)`` produces, so the verdict is identical, but the long
-    traces of open-system runs skip the per-arc label bookkeeping that
-    dominated the end-of-run check.
     """
-    system = schedule.system
-    masks = schedule.prefix().masks
-    transactions = system.transactions
-    edges: dict[int, list[int]] = {}
-    for entity, lockers in schedule.lock_sequences_view().items():
-        accessors = system.accessors(entity)
-        if len(accessors) < 2:
-            continue
-        prev = lockers[0]
-        for locker in lockers[1:]:
-            bucket = edges.get(prev)
-            if bucket is None:
-                edges[prev] = [locker]
-            else:
-                bucket.append(locker)
-            prev = locker
-        for j in accessors:
-            if not masks[j] >> transactions[j]._lock_node[entity] & 1:
-                bucket = edges.get(prev)
-                if bucket is None:
-                    edges[prev] = [j]
-                else:
-                    bucket.append(j)
-    empty = ()
-    n = len(system)
-    return find_cycle_ints(
-        range(n), lambda u: edges.get(u, empty), n
-    ) is None
+    return d_graph(schedule, full=False).is_acyclic()
 
 
 def equivalent_serial_order(schedule: Schedule) -> list[int] | None:

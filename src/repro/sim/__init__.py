@@ -37,9 +37,13 @@ the log (with optional tail-loss / torn-write / amnesia faults), and
 recovery replays the log, re-acquires the log-implied locks, and
 resolves in-doubt transactions by protocol inquiry.
 
-Every run records a trace of committed operations which replays as a
-legal :class:`repro.core.Schedule`, so runtime serializability is
-checked with the same D(S) machinery the theory uses.
+Every run records a trace of its completed operations, and its
+``serializable`` verdict tests the final attempts' part of that trace
+with the theory's Lemma 1 criterion, D(S'), extended to shared reads.
+Replicated runs can record a trace that is not a legal schedule — under
+``rowa-available``, whose writes lock only the replicas they reach, two
+attempts can hold one entity in conflicting modes through disjoint
+replica sets — and such a run is not serializable.
 
 An observability layer (:mod:`repro.sim.observe`, enabled through
 ``SimulationConfig(observe=ObserveConfig(...))``) taps the run's probe

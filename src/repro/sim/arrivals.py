@@ -64,8 +64,8 @@ class OpenSystem:
     while executing; rebuilding an immutable ``TransactionSystem`` per
     arrival would make a run quadratic in the number of injections, so
     arrivals append here in O(1) and :meth:`frozen` materializes the
-    real thing once, when the run ends (the trace-replay machinery
-    needs the full accessor indexes).
+    real thing once, when the run ends, so ``sim.system`` answers the
+    static theory's queries (accessor indexes, schedules) afterwards.
     """
 
     __slots__ = ("schema", "transactions")

@@ -117,9 +117,10 @@ class SimulationResult:
         commit_latencies: commit-phase latency (last operation to the
             commit decision), -1 for uncommitted transactions. Zero
             under the instant protocol.
-        serializable: whether the committed trace is serializable
-            (filled by the runtime via the D(S) test); None if the run
-            did not commit everything.
+        serializable: whether the history of the transactions' final
+            attempts, unfinished ones included, passes Lemma 1's D(S')
+            test; filled by the runtime at the end of every run (None
+            only on a result no run has filled).
         truncated: True if the run hit the event or time budget.
         injected: transactions injected by the open-system arrival
             process (0 for closed-batch runs; the closed batch is

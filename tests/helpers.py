@@ -5,10 +5,14 @@ from __future__ import annotations
 import random
 
 from repro.core.entity import DatabaseSchema
+from repro.core.operations import OpKind
+from repro.core.schedule import IllegalScheduleError, Schedule
+from repro.core.serialization import is_serializable
 from repro.core.system import TransactionSystem
 from repro.core.transaction import Transaction
 from repro.sim.runtime import _COMMITTED, _PREPARED
 from repro.sim.workload import WorkloadSpec, random_system
+from repro.util.graphs import Digraph
 
 TWO_SITES = DatabaseSchema.from_groups({"s1": ["x", "y"], "s2": ["z", "w"]})
 
@@ -127,3 +131,70 @@ def check_presumptions_count_once(sim) -> list:
 
     dur.on_site_recover = checked
     return replayed
+
+
+def conflicting_overlap(sim) -> bool:
+    """Whether a finished run granted some lock while another final
+    attempt held its entity in a conflicting mode (not both reads)."""
+    system = sim.system
+    holders: dict[str, set[int]] = {}
+    for txn, node in sim._final_steps(False):
+        op = system[txn].ops[node]
+        held = holders.setdefault(op.entity, set())
+        if op.kind is OpKind.LOCK:
+            reads = op.entity in system[txn].read_set
+            if any(
+                not (reads and op.entity in system[h].read_set)
+                for h in held
+            ):
+                return True
+            held.add(txn)
+        elif op.kind is OpKind.UNLOCK:
+            held.discard(txn)
+    return False
+
+
+def reference_serializable(sim) -> bool:
+    """A finished run's serializability, recomputed from the definitions.
+
+    The reference the runtime's one-pass verdict is checked against.
+    Without reads in the system, the final attempts' steps replay as a
+    :class:`Schedule` and D(S') decides; a step sequence the replay
+    rejects is not serializable. With reads, a
+    :func:`conflicting_overlap` is not serializable, and otherwise the
+    pairwise conflict graph decides: an arc from every locker of an
+    entity to every later locker and to every accessor that has not
+    locked it yet (Lemma 1), unless both only read it, with no
+    reduction.
+    """
+    system = sim.system
+    steps = list(sim._final_steps(False))
+    if not any(t.read_set for t in system):
+        try:
+            return is_serializable(Schedule(system, steps))
+        except IllegalScheduleError:
+            return False
+    if conflicting_overlap(sim):
+        return False
+    masks = [0] * len(system)
+    lockers: dict[str, list[int]] = {}
+    for txn, node in steps:
+        masks[txn] |= 1 << node
+        op = system[txn].ops[node]
+        if op.kind is OpKind.LOCK:
+            lockers.setdefault(op.entity, []).append(txn)
+    graph = Digraph()
+    for entity in system.entities:
+        order = lockers.get(entity, [])
+        not_locked = [
+            j for j in system.accessors(entity)
+            if not masks[j] >> system[j].lock_node(entity) & 1
+        ]
+        for a, i in enumerate(order):
+            for j in order[a + 1:] + not_locked:
+                if not (
+                    entity in system[i].read_set
+                    and entity in system[j].read_set
+                ):
+                    graph.add_arc(i, j)
+    return graph.is_acyclic()

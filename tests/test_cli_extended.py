@@ -118,10 +118,10 @@ class TestSimulateOpenSystem:
         out = capsys.readouterr().out
         assert "serializable" in out  # closed-batch table, not open
 
-    def test_grid_shares_its_stream(self, monkeypatch):
-        # Every run of a one-seed policy x protocol grid injects the
-        # same arrivals: the grid generates them once, and each of its
-        # results equals a lone run of that cell.
+    def check_grid_streams(self, monkeypatch, runs):
+        # Run i of every cell of a policy x protocol grid injects seed
+        # i's arrivals: the grid generates each seed's stream once, and
+        # each of its results equals a lone run of that cell and seed.
         from repro.sim.runtime import Simulator
         from repro.sim.workload import CompiledWorkload
 
@@ -144,18 +144,27 @@ class TestSimulateOpenSystem:
             "instant", "two-phase"
         ]
         assert main([
-            *base, "--policies", *policies, "--commit", *protocols
+            *base, "--policies", *policies, "--commit", *protocols,
+            "--runs", str(runs),
         ]) == 0
         grid = list(results)
-        assert len(grid) == 4
-        assert len(generated) == 30
+        assert len(grid) == 4 * runs
+        assert len(generated) == 30 * runs
         results.clear()
         for policy in policies:
             for protocol in protocols:
-                assert main([
-                    *base, "--policies", policy, "--commit", protocol
-                ]) == 0
+                for seed in range(runs):
+                    assert main([
+                        *base, "--policies", policy, "--commit", protocol,
+                        "--seed", str(seed),
+                    ]) == 0
         assert results == grid
+
+    def test_grid_shares_its_stream(self, monkeypatch):
+        self.check_grid_streams(monkeypatch, runs=1)
+
+    def test_replicated_grid_shares_each_seed_stream(self, monkeypatch):
+        self.check_grid_streams(monkeypatch, runs=2)
 
 
 class TestSweep:
