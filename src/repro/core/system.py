@@ -37,6 +37,9 @@ class TransactionSystem:
             freeze of a long run from one merge per transaction into
             O(1)).
 
+    The entity -> accessors index waits for the first query that reads
+    it, so freezing an open run builds no arrival's name-keyed tables.
+
     Raises:
         ValueError: on duplicate names or conflicting entity placement.
     """
@@ -67,13 +70,7 @@ class TransactionSystem:
             for t in transactions:
                 schema = schema.merged_with(t.schema)
         self.schema = schema
-        accessors: dict[Entity, list[int]] = {}
-        for i, t in enumerate(transactions):
-            for entity in t.entities:
-                accessors.setdefault(entity, []).append(i)
-        self._accessors = {
-            entity: tuple(indices) for entity, indices in accessors.items()
-        }
+        self._accessors: dict[Entity, tuple[int, ...]] | None = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -106,13 +103,23 @@ class TransactionSystem:
     def __iter__(self) -> Iterator[Transaction]:
         return iter(self.transactions)
 
+    def _accessor_index(self) -> dict[Entity, tuple[int, ...]]:
+        """Entity -> indices of its accessors, built on first use."""
+        if self._accessors is None:
+            accessors: dict[Entity, list[int]] = {}
+            for i, t in enumerate(self.transactions):
+                for entity in t.entities:
+                    accessors.setdefault(entity, []).append(i)
+            self._accessors = {e: tuple(ix) for e, ix in accessors.items()}
+        return self._accessors
+
     @property
     def entities(self) -> frozenset[Entity]:
-        return frozenset(self._accessors)
+        return frozenset(self._accessor_index())
 
     def accessors(self, entity: Entity) -> tuple[int, ...]:
         """Indices of transactions accessing ``entity``."""
-        return self._accessors.get(entity, ())
+        return self._accessor_index().get(entity, ())
 
     def common_entities(self, i: int, j: int) -> frozenset[Entity]:
         """R(Ti) ∩ R(Tj)."""
@@ -121,7 +128,7 @@ class TransactionSystem:
     def interaction_edges(self) -> set[tuple[int, int]]:
         """Edges of the interaction graph G(A): pairs sharing an entity."""
         edges: set[tuple[int, int]] = set()
-        for indices in self._accessors.values():
+        for indices in self._accessor_index().values():
             for a in range(len(indices)):
                 for b in range(a + 1, len(indices)):
                     edges.add((indices[a], indices[b]))

@@ -74,43 +74,62 @@ class Transaction:
             raise MalformedTransactionError(
                 f"{name}: precedence arcs invalid: {exc}"
             ) from exc
-        self._lock_node: dict[Entity, int] = {}
-        self._unlock_node: dict[Entity, int] = {}
-        self._entities: frozenset[Entity] = frozenset(
-            op.entity for op in self.ops
-        )
         self.read_set: frozenset[Entity] = frozenset(read_set)
-        if not self.read_set <= self._entities:
-            extra = sorted(self.read_set - self._entities)
+        accessed = {op.entity for op in self.ops}
+        if not self.read_set <= accessed:
+            extra = sorted(self.read_set - accessed)
             raise MalformedTransactionError(
                 f"{name}: read set names unaccessed entities {extra}"
             )
+        self._site_nodes = None
+        self._tables()
         self._validate_lock_discipline()
-        self._site_nodes = self._group_by_site()
         self._validate_site_total_order()
+
+    # ------------------------------------------------------------------
+    # name-keyed tables
+    # ------------------------------------------------------------------
+
+    def _tables(self) -> "Transaction":
+        """This transaction with R(T), each entity's Lock and Unlock node
+        and each site's nodes (in id order) built: at once by the
+        validating constructor, on the first static query if trusted."""
+        if self._site_nodes is not None:
+            return self
+        lock_node: dict[Entity, int] = {}
+        unlock_node: dict[Entity, int] = {}
+        groups: dict[str, list[int]] = {}
+        schema = self.schema
+        for node, op in enumerate(self.ops):
+            entity = op.entity
+            if entity not in schema:
+                raise MalformedTransactionError(
+                    f"{self.name}: entity {entity!r} missing from schema"
+                )
+            if op.kind is OpKind.LOCK:
+                if entity in lock_node:
+                    raise MalformedTransactionError(
+                        f"{self.name}: two Lock nodes for {entity!r}"
+                    )
+                lock_node[entity] = node
+            elif op.kind is OpKind.UNLOCK:
+                if entity in unlock_node:
+                    raise MalformedTransactionError(
+                        f"{self.name}: two Unlock nodes for {entity!r}"
+                    )
+                unlock_node[entity] = node
+            groups.setdefault(schema.site_of(entity), []).append(node)
+        self._lock_node = lock_node
+        self._unlock_node = unlock_node
+        self._entities = frozenset(op.entity for op in self.ops)
+        self._site_nodes = groups
+        return self
 
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------
 
     def _validate_lock_discipline(self) -> None:
-        for node, op in enumerate(self.ops):
-            if op.entity not in self.schema:
-                raise MalformedTransactionError(
-                    f"{self.name}: entity {op.entity!r} missing from schema"
-                )
-            if op.kind is OpKind.LOCK:
-                if op.entity in self._lock_node:
-                    raise MalformedTransactionError(
-                        f"{self.name}: two Lock nodes for {op.entity!r}"
-                    )
-                self._lock_node[op.entity] = node
-            elif op.kind is OpKind.UNLOCK:
-                if op.entity in self._unlock_node:
-                    raise MalformedTransactionError(
-                        f"{self.name}: two Unlock nodes for {op.entity!r}"
-                    )
-                self._unlock_node[op.entity] = node
         for entity in self._entities:
             if entity not in self._lock_node:
                 raise MalformedTransactionError(
@@ -141,12 +160,6 @@ class Transaction:
                         f"by its Unlock"
                     )
 
-    def _group_by_site(self) -> dict[str, list[int]]:
-        groups: dict[str, list[int]] = {}
-        for node, op in enumerate(self.ops):
-            groups.setdefault(self.schema.site_of(op.entity), []).append(node)
-        return groups
-
     def _validate_site_total_order(self) -> None:
         # A subset is totally ordered iff, listed in topological order,
         # each consecutive pair is ordered (transitivity gives the
@@ -176,7 +189,7 @@ class Transaction:
     @property
     def entities(self) -> frozenset[Entity]:
         """R(T): the set of entities accessed by the transaction."""
-        return self._entities
+        return self._tables()._entities
 
     def op(self, node: int) -> Operation:
         return self.ops[node]
@@ -187,11 +200,11 @@ class Transaction:
         Raises:
             KeyError: if the transaction does not access the entity.
         """
-        return self._lock_node[entity]
+        return self._tables()._lock_node[entity]
 
     def unlock_node(self, entity: Entity) -> int:
         """Node id of ``U entity``."""
-        return self._unlock_node[entity]
+        return self._tables()._unlock_node[entity]
 
     def action_nodes(self, entity: Entity) -> list[int]:
         """Node ids of the ``A.entity`` actions, in id order."""
@@ -210,11 +223,11 @@ class Transaction:
         return str(self.ops[node])
 
     def sites_touched(self) -> frozenset[str]:
-        return frozenset(self._site_nodes)
+        return frozenset(self._tables()._site_nodes)
 
     def nodes_at_site(self, site: str) -> list[int]:
         """Node ids at ``site`` in execution (total) order."""
-        nodes = list(self._site_nodes.get(site, []))
+        nodes = list(self._tables()._site_nodes.get(site, []))
         nodes.sort(key=lambda u: self.dag.ancestors(u).bit_count())
         return nodes
 
@@ -293,7 +306,7 @@ class Transaction:
         ]
         placement = {
             mapping.get(entity, entity): self.schema.site_of(entity)
-            for entity in self._entities
+            for entity in self.entities
         }
         read_set = {
             mapping.get(entity, entity) for entity in self.read_set
@@ -320,10 +333,9 @@ class Transaction:
         cls,
         name: str,
         ops: Sequence[Operation],
-        arcs: Iterable[tuple[int, int]],
+        arcs: Dag | Iterable[tuple[int, int]],
         schema: DatabaseSchema,
         read_set: Iterable[Entity] = (),
-        op_sites: Sequence[str] | None = None,
     ) -> "Transaction":
         """Construct without validation — for generator-produced input.
 
@@ -333,55 +345,32 @@ class Transaction:
         them, per-site total orders, every arc forward in node-id
         order, and a read set drawn from the accessed entities. For
         such input this constructor skips the locking-discipline and
-        site-total-order validation and builds the Dag through
-        :meth:`Dag.trusted <repro.util.dag.Dag.trusted>` (no cycle
-        check, lazy closure), producing an object equal to what the
-        validating constructor returns — every generated transaction,
-        closed batch or open-system arrival, is built here. ``schema``
-        is required: deriving a default would need the validation pass
-        this path exists to skip.
+        site-total-order validation, producing an object equal to what
+        the validating constructor returns — every generated
+        transaction, closed batch or open-system arrival, is built
+        here. ``arcs`` is the trusted Dag itself (the generator's, from
+        :meth:`Dag.from_masks <repro.util.dag.Dag.from_masks>`) or
+        ``(u, v)`` pairs for :meth:`Dag.trusted <repro.util.dag.Dag.
+        trusted>`. ``schema`` is required: deriving a default would
+        need the validation pass this path exists to skip. Only the
+        name, ops, schema, read set and Dag are stored; the name-keyed
+        tables wait for the first static query that reads one (the
+        simulator reads none, and an open run keeps every arrival).
 
-        Feeding input that violates the invariants produces a silently
-        malformed transaction; use the normal constructor whenever the
-        input is not proven valid by construction.
-
-        ``op_sites`` optionally supplies the per-node site names (the
-        generator already resolved them to lay down the per-site
-        chains); when omitted they are looked up from the schema.
+        Feeding input that violates the invariants produces a malformed
+        transaction, silently or at its first static query; use the
+        normal constructor whenever the input is not proven valid by
+        construction.
         """
         t = object.__new__(cls)
         t.name = name
         t.ops = tuple(ops)
         t.schema = schema
-        t.dag = Dag.trusted(len(t.ops), arcs)
+        t.dag = arcs if type(arcs) is Dag else Dag.trusted(len(t.ops), arcs)
         t.read_set = (
             read_set if type(read_set) is frozenset else frozenset(read_set)
         )
-        if op_sites is None:
-            site_of = schema.site_of
-            op_sites = [site_of(op.entity) for op in t.ops]
-        lock_node: dict[Entity, int] = {}
-        unlock_node: dict[Entity, int] = {}
-        groups: dict[str, list[int]] = {}
-        lock_kind = OpKind.LOCK
-        unlock_kind = OpKind.UNLOCK
-        for node, op in enumerate(t.ops):
-            kind = op.kind
-            entity = op.entity
-            if kind is lock_kind:
-                lock_node[entity] = node
-            elif kind is unlock_kind:
-                unlock_node[entity] = node
-            site = op_sites[node]
-            nodes = groups.get(site)
-            if nodes is None:
-                groups[site] = [node]
-            else:
-                nodes.append(node)
-        t._lock_node = lock_node
-        t._unlock_node = unlock_node
-        t._entities = frozenset(lock_node)
-        t._site_nodes = groups
+        t._lock_node = t._unlock_node = t._entities = t._site_nodes = None
         return t
 
     @classmethod

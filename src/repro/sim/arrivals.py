@@ -99,6 +99,8 @@ class OpenSystem:
         transactions over it — so the freeze hands it over instead of
         re-merging one schema per transaction (which made freezing a
         long batch+arrival run linear in run length times schema size).
+        Its accessor index, and with it every arrival's name-keyed
+        tables, waits for the first static query that reads it.
         """
         return TransactionSystem(self.transactions, schema=self.schema)
 
@@ -141,8 +143,9 @@ class ArrivalStream:
     CompiledWorkload.generate>` — and kept, so every later run that
     reads the stream takes the same object instead of generating it
     again. Runs share the transactions read-only: the simulator never
-    mutates one, and the one write any query makes, a ``Dag``'s lazy
-    closure cache, stores the same value whoever makes it first.
+    mutates one, and the only writes any query makes, a ``Dag``'s lazy
+    closure cache and arc set and a transaction's lazy name-keyed
+    tables, store the same values whoever makes them first.
 
     Args:
         system: the run's closed batch (empty for a pure open system).

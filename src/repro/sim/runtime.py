@@ -65,13 +65,14 @@ tests one empty slot.
 
 Fast-path architecture: at construction the simulator *interns* the
 schema — entities and sites are mapped to dense integer ids in sorted
-name order — and compiles each transaction's hot data (per-node entity
-ids, ancestor masks, lock-node table, cross-site delay mask) onto its
-instance. All run-time lock state (:class:`~repro.sim.locks.
-SiteLockManager` keys, ``waiting``/``retained``/``lock_sites``) is
-keyed on those ids; because id order equals sorted-name order, every
-historically ``sorted()``-dependent iteration is preserved bit for bit
-while the comparisons and hashes become integer-cheap. The waits-for
+name order — and each instance takes its transaction's hot data from
+one pass over the ops (entity ids, kinds, lock-node table) and the
+Dag's own direct masks, never from the name-keyed tables. All run-time
+lock state (:class:`~repro.sim.locks.SiteLockManager` keys,
+``waiting``/``retained``/``lock_sites``) is keyed on those ids;
+because id order equals sorted-name order, every historically
+``sorted()``-dependent iteration is preserved bit for bit while the
+comparisons and hashes become integer-cheap. The waits-for
 graph is maintained incrementally (:mod:`repro.sim.waitsfor`) instead
 of being rebuilt each detection tick, the committed-operation trace is
 recorded append-only in dispatch order (already sorted — no final
@@ -241,9 +242,10 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         # A negative delay would silently corrupt event-heap ordering
         # (events scheduled into the past), a negative count lifts its
-        # cap, and a zero period re-arms its chain at the same instant
-        # until max_events runs out; reject them outright, mirroring
-        # WorkloadSpec's validation.
+        # cap, a zero period re-arms its chain at the same instant
+        # until max_events runs out, and a run budget of zero or less
+        # runs nothing yet reports a serializable run; reject them
+        # outright, mirroring WorkloadSpec's validation.
         for label in (
             "service_time", "network_delay", "arrival_spread",
             "restart_delay", "restart_jitter", "timeout", "failure_rate",
@@ -252,7 +254,8 @@ class SimulationConfig:
             value = getattr(self, label)
             if value < 0:
                 raise ValueError(f"{label} must be >= 0, got {value}")
-        for label in ("commit_timeout", "catchup_time", "detection_interval"):
+        for label in ("commit_timeout", "catchup_time", "detection_interval",
+                      "max_time", "max_events"):
             value = getattr(self, label)
             if value <= 0:
                 raise ValueError(f"{label} must be > 0, got {value}")
@@ -262,10 +265,10 @@ class _Instance:
     """Mutable execution state of one transaction.
 
     Besides the dynamic fields, the instance carries the transaction's
-    *compiled* hot data, precomputed once at injection: per-node entity
-    ids, per-node direct-predecessor masks, the eid -> Lock-node table,
-    the read (shared-mode) eid set, the written eids in sorted order,
-    and the bitmask of nodes whose issue crosses sites (network delay).
+    *compiled* hot data, set once at injection: per-node entity ids and
+    kinds, the eid -> Lock-node table, the read (shared-mode) eid set,
+    the written eids in sorted order, the bitmask of nodes whose issue
+    crosses sites (network delay), and the Dag's direct masks.
     """
 
     __slots__ = (
@@ -491,12 +494,19 @@ class Simulator:
         reg.register("detect", self._on_detect)
 
     def _compile(self, inst: _Instance, t: Transaction) -> None:
-        """Precompute the transaction's hot data onto its instance."""
+        """Precompute the transaction's hot data onto its instance, from
+        one pass over ``t.ops`` and the Dag's masks (no name table)."""
         eid_of = self._entity_ids
         ops = t.ops
-        eids = [eid_of[op.entity] for op in ops]
+        eids, kinds, lock_node_of = [], [], {}
+        for node, op in enumerate(ops):
+            eids.append(eid_of[op.entity])
+            kinds.append(op.kind)
+            if op.kind is _LOCK:
+                lock_node_of[eids[-1]] = node
         inst.eids = eids
-        inst.kinds = [op.kind for op in ops]
+        inst.kinds = kinds
+        inst.lock_node_of = lock_node_of
         inst.home_sid = self._primary_sid[eids[0]] if eids else 0
         dag = t.dag
         n = len(ops)
@@ -515,16 +525,10 @@ class Simulator:
                 roots |= 1 << node
         inst.roots_mask = roots
         inst.all_mask = (1 << n) - 1
-        inst.lock_node_of = {
-            eid_of[entity]: t.lock_node(entity) for entity in t.entities
-        }
         if t.read_set:
-            inst.shared_eids = frozenset(
-                eid_of[entity] for entity in t.read_set
-            )
-        inst.write_eids = tuple(sorted(
-            eid_of[entity] for entity in t.entities - t.read_set
-        ))
+            inst.shared_eids = frozenset(eid_of[e] for e in t.read_set)
+        written = lock_node_of.keys() - inst.shared_eids
+        inst.write_eids = tuple(sorted(written))
         if self._net_delay > 0:
             primary = self._primary_sid
             mask = 0

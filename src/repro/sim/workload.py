@@ -30,12 +30,13 @@ import random
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from repro.core.entity import DatabaseSchema, Entity
 from repro.core.operations import Operation, OpKind
 from repro.core.system import TransactionSystem
 from repro.core.transaction import Transaction
+from repro.util.dag import Dag
 
 __all__ = [
     "CompiledWorkload",
@@ -159,9 +160,10 @@ def random_schema(
 
 
 def _structural_arcs(
-    spec: WorkloadSpec, sequence: list[Operation]
-) -> list[tuple[int, int]]:
-    """Arcs that make the *partial order* match the declared shape.
+    spec: WorkloadSpec, sequence: list[Operation], flat: list[int],
+    succ: list[int], pred: list[int],
+) -> None:
+    """Lay down the arcs that make the *partial order* match the shape.
 
     The per-site chains alone leave cross-site operations unordered, so
     a "two-phase" reference sequence would not yield a two-phase partial
@@ -169,21 +171,26 @@ def _structural_arcs(
     For the 2PL shapes we therefore add every Lock -> Unlock arc, and
     for ``ordered_2pl`` we additionally chain the Locks in the global
     entity order — making the lock-ordering prevention argument hold
-    across sites, not just within them.
+    across sites, not just within them. Each arc is laid down as
+    :meth:`CompiledWorkload.generate` lays down its own.
     """
-    arcs: list[tuple[int, int]] = []
     if spec.shape not in ("two_phase", "ordered_2pl"):
-        return arcs
+        return
     lock_ids = [
         i for i, op in enumerate(sequence) if op.kind is OpKind.LOCK
     ]
     unlock_ids = [
         i for i, op in enumerate(sequence) if op.kind is OpKind.UNLOCK
     ]
-    arcs.extend((u, v) for u in lock_ids for v in unlock_ids)
+    arcs = ((u, v) for u in lock_ids for v in unlock_ids)
     if spec.shape == "ordered_2pl":
-        arcs.extend(zip(lock_ids, lock_ids[1:]))
-    return arcs
+        arcs = chain(arcs, zip(lock_ids, lock_ids[1:]))
+    push = flat.append
+    for u, v in arcs:
+        push(u)
+        push(v)
+        succ[u] |= 1 << v
+        pred[v] |= 1 << u
 
 
 class CompiledWorkload:
@@ -199,8 +206,9 @@ class CompiledWorkload:
     :func:`random_transaction`, and open-system arrivals — and the
     sequence of its RNG draws is part of a workload's identity. Its
     output is valid by construction (see the module docstring), so it
-    is assembled through ``Transaction.trusted``: re-validation would
-    only re-prove the invariants.
+    is assembled through ``Transaction.trusted`` over ``Dag.from_masks``,
+    whose masks it sets as it draws each arc: re-validation would only
+    re-prove the invariants.
     """
 
     __slots__ = (
@@ -345,40 +353,48 @@ class CompiledWorkload:
             )
         sequence = self._reference_sequence(rng, accessed)
 
-        if spec.shape == "sequential":
-            arcs = [(i, i + 1) for i in range(len(sequence) - 1)]
-            return Transaction.trusted(
-                name, sequence, arcs, self.schema, read_set
-            )
-
-        # Per-site chains from the reference order.
+        # Each arc goes straight into the Dag's trusted form: the flat
+        # node ids and both direct masks. Per-site chains come first,
+        # from the reference order; the sequential shape is one chain.
+        n_ops = len(sequence)
+        flat: list[int] = []
+        push = flat.append
+        succ = [0] * n_ops
+        pred = [0] * n_ops
         site_of = self.site_of
-        op_sites = [site_of[op.entity] for op in sequence]
-        arcs = []
-        append_arc = arcs.append
-        last_at_site: dict[str, int] = {}
-        for index, site in enumerate(op_sites):
-            prev = last_at_site.get(site)
-            if prev is not None:
-                append_arc((prev, index))
-            last_at_site[site] = index
+        op_sites = (
+            [None] * n_ops if spec.shape == "sequential"
+            else [site_of[op.entity] for op in sequence]
+        )
+        last_at_site: dict[str | None, int] = {}
+        for v, site in enumerate(op_sites):
+            u = last_at_site.get(site)
+            if u is not None:
+                push(u)
+                push(v)
+                succ[u] |= 1 << v
+                pred[v] |= 1 << u
+            last_at_site[site] = v
 
         # Cross-site arcs: one draw per cross-site (u, v) pair, in
         # (u, v) order — the draw sequence is workload identity, so the
         # loop shape must not change.
         cross_p = spec.cross_arc_p
         random_draw = rng.random
-        n_ops = len(sequence)
         for u in range(n_ops):
             site_u = op_sites[u]
             for v in range(u + 1, n_ops):
                 if site_u != op_sites[v] and random_draw() < cross_p:
-                    append_arc((u, v))
+                    push(u)
+                    push(v)
+                    succ[u] |= 1 << v
+                    pred[v] |= 1 << u
 
         # Shape-defining arcs (2PL closure, global lock chain).
-        arcs.extend(_structural_arcs(spec, sequence))
+        _structural_arcs(spec, sequence, flat, succ, pred)
         return Transaction.trusted(
-            name, sequence, arcs, self.schema, read_set, op_sites
+            name, sequence, Dag.from_masks(n_ops, tuple(flat), succ, pred),
+            self.schema, read_set,
         )
 
 

@@ -73,34 +73,34 @@ class Dag:
 
         The caller guarantees every arc ``(u, v)`` satisfies
         ``0 <= u < v < n`` — forward in node-id order, hence acyclic
-        with no self-loops. The workload generator produces exactly
-        such arcs (every arc follows the reference sequence), which is
-        what lets generated transactions skip Kahn's algorithm and the
-        transitive closure entirely: the simulator's hot path consumes
-        only the direct successor/predecessor masks. Every closure
-        read goes through :meth:`_closure`, which computes the closure
-        (and the cached topological order) on first use, and
-        :attr:`arcs` iterates in the validated order, so the resulting
-        Dag answers every query exactly like a validated one.
-
-        The arcs are kept as one flat tuple of node ids in the order
-        given, ``u0, v0, u1, v1, ...``, not as the caller's ``(u, v)``
-        tuples, and :attr:`arcs` builds its pairs on first read: an
-        open-system run keeps every generated transaction, and one
-        tuple per arc was the largest thing it kept.
+        with no self-loops; see :meth:`from_masks`.
         """
-        dag = object.__new__(cls)
-        dag.n = n
         flat = tuple(chain.from_iterable(arcs))
         succ = [0] * n
         pred = [0] * n
         ends = iter(flat)
         for u, v in zip(ends, ends):
-            # Duplicate arcs just re-set the same bits, so the masks
-            # need no dedup pass; the canonical frozenset (which does
-            # dedup) is materialized only if someone asks for it.
             succ[u] |= 1 << v
             pred[v] |= 1 << u
+        return cls.from_masks(n, flat, succ, pred)
+
+    @classmethod
+    def from_masks(
+        cls, n: int, flat: Sequence[int], succ: list[int], pred: list[int]
+    ) -> "Dag":
+        """The trusted construction path: no validation, lazy closure.
+
+        ``flat`` lists the arcs as node ids, ``u0, v0, u1, v1, ...``,
+        each forward (``0 <= u < v < n``), and ``succ``/``pred`` are
+        their direct masks (a repeated arc just re-sets its bits, and
+        :attr:`arcs` dedups). The workload generator sets all three as
+        it draws each arc, and the simulator reads only the masks, so
+        an open run keeps no ``(u, v)`` tuple per arc. The closure is
+        computed on first read and :attr:`arcs` built in the order
+        given, so the Dag answers every query like a validated one.
+        """
+        dag = object.__new__(cls)
+        dag.n = n
         dag._succ = succ
         dag._pred = pred
         dag._arcs = None

@@ -159,6 +159,34 @@ class TestReadmeQuickStart:
         assert "Theorem 3" in capsys.readouterr().out
 
 
+class TestRunBudget:
+    """A run budget of zero or less is a usage error, like any other
+    out-of-range run setting, not a run that commits nothing."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", str(REPO / "examples.txn"),
+             "--policies", "wound-wait", "--max-time", "-1"],
+            ["simulate", "--arrival-rate", "0.5",
+             "--max-transactions", "10", "--max-time", "0"],
+            ["sweep", "--serial", "--policies", "wound-wait",
+             "--arrival-rates", "0.5", "--seeds", "0",
+             "--max-transactions", "10", "--max-time", "-5"],
+        ],
+    )
+    def test_non_positive_max_time_exits_2(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"{argv[0]}: max_time must be > 0")
+        assert not list(tmp_path.iterdir())
+
+
 class TestUnreadableInput:
     @pytest.mark.parametrize(
         "command",

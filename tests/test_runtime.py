@@ -17,6 +17,7 @@ from repro.sim.runtime import (
 )
 from repro.core.entity import DatabaseSchema
 from repro.core.system import TransactionSystem
+from repro.core.transaction import Transaction
 from repro.sim.workload import WorkloadSpec, random_system
 
 from tests.helpers import seq
@@ -75,6 +76,14 @@ class TestConfigValidation:
         # max_events runs out.
         with pytest.raises(ValueError, match=f"{field} must be > 0"):
             SimulationConfig(**{field: 0.0})
+
+    @pytest.mark.parametrize("field", ["max_time", "max_events"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_run_budget_rejected(self, field, value):
+        # A run with no budget executes nothing, yet reported 0 of n
+        # committed and a serializable run.
+        with pytest.raises(ValueError, match=f"{field} must be > 0"):
+            SimulationConfig(**{field: value})
 
     def test_zero_values_accepted(self):
         config = SimulationConfig(
@@ -328,6 +337,55 @@ class TestWhatARunKeeps:
         assert result.injected == 1000
         assert result.committed == result.total and not result.truncated
         assert kept / ops < self.KEPT_BYTES_PER_OP, (kept, ops)
+
+
+class TestOneCompiledForm:
+    """The simulator runs a generated transaction on its Dag's masks
+    and the ids ``_compile`` derives from its ops: nothing in an open
+    run builds a transaction's name-keyed tables or the frozen system's
+    accessor index, and once a static query builds them they answer as
+    a validated rebuild does."""
+
+    TABLES = ("_entities", "_lock_node", "_unlock_node", "_site_nodes")
+
+    def test_open_run_builds_no_name_keyed_table(self):
+        spec = WorkloadSpec(
+            n_transactions=6, n_entities=12, n_sites=3,
+            entities_per_txn=(2, 4), actions_per_entity=(0, 2),
+            read_fraction=0.3,
+        )
+        config = SimulationConfig(
+            arrival_rate=0.5, max_transactions=40, workload=spec, seed=3,
+            workload_seed=3,
+        )
+        sim = Simulator(random_system(random.Random(3), spec),
+                        "wound-wait", config)
+        result = sim.run()
+        system = sim.system
+        assert isinstance(system, TransactionSystem)
+        assert result.injected == 40 and len(system) == 46
+        assert system._accessors is None
+        for t in system:
+            assert [getattr(t, slot) for slot in self.TABLES] == (
+                [None] * len(self.TABLES)
+            ), t.name
+
+        rebuilt = TransactionSystem([
+            Transaction(t.name, t.ops, t.dag.arcs, t.schema, t.read_set)
+            for t in system
+        ])
+        for t, v in zip(system, rebuilt):
+            assert t.entities == v.entities
+            for entity in v.entities:
+                assert t.lock_node(entity) == v.lock_node(entity)
+                assert t.unlock_node(entity) == v.unlock_node(entity)
+            assert t.sites_touched() == v.sites_touched()
+            for site in v.sites_touched():
+                assert t.nodes_at_site(site) == v.nodes_at_site(site)
+        assert system.entities == rebuilt.entities
+        for entity in rebuilt.entities:
+            assert system.accessors(entity) == rebuilt.accessors(entity)
+        assert system.interaction_edges() == rebuilt.interaction_edges()
 
 
 class TestStaleGrants:

@@ -2,14 +2,17 @@
 
 Every generated transaction — closed batches, ``random_transaction``
 calls and open-system arrivals — is built through
-``CompiledWorkload.generate`` -> ``Transaction.trusted`` ->
-``Dag.trusted``, none of which validate their input. These properties
-pin the two halves of that bargain over random workload specs:
+``CompiledWorkload.generate`` -> ``Dag.from_masks`` ->
+``Transaction.trusted``, none of which validate their input. These
+properties pin the two halves of that bargain over random workload
+specs:
 
 * the validating constructor *accepts* every trusted product, with or
   without fixed ``entities=``, and every ``random_system`` batch, and
-  rebuilds an equal transaction (the generator really does only emit
-  well-formed transactions);
+  rebuilds an equal transaction whose name-keyed tables answer like the
+  trusted one's lazily built ones (the generator really does only emit
+  well-formed transactions), and the masks the generator lays down are
+  the validating ``Dag``'s;
 * a trusted Dag's lazily computed closure answers like the closure the
   validating ``Dag(n, arcs)`` computes at construction.
 
@@ -69,6 +72,14 @@ def _generate(spec, schema_seed, txn_seed, entities=None):
 
 
 def _assert_revalidates(trusted):
+    # The generator lays the Dag's masks down as it draws each arc; they
+    # and the arc order must be what the validating Dag makes of the
+    # drawn arcs (kept flat, in drawn order, until .arcs is first read).
+    flat = trusted.dag._arc_src
+    drawn = Dag(trusted.dag.n, zip(flat[::2], flat[1::2]))
+    assert trusted.dag.successor_masks() == drawn.successor_masks()
+    assert trusted.dag.predecessor_masks() == drawn.predecessor_masks()
+    assert list(trusted.dag.arcs) == list(drawn.arcs)
     # Must not raise MalformedTransactionError / CycleError.
     revalidated = Transaction(
         trusted.name,
@@ -78,10 +89,18 @@ def _assert_revalidates(trusted):
         trusted.read_set,
     )
     assert revalidated == trusted
-    assert revalidated._site_nodes == trusted._site_nodes
-    assert revalidated._lock_node == trusted._lock_node
-    assert revalidated._unlock_node == trusted._unlock_node
+    # The lazily built name-keyed tables answer as the validated ones.
     assert revalidated.entities == trusted.entities
+    for entity in trusted.entities:
+        assert revalidated.lock_node(entity) == trusted.lock_node(entity)
+        assert revalidated.unlock_node(entity) == (
+            trusted.unlock_node(entity)
+        )
+    assert revalidated.sites_touched() == trusted.sites_touched()
+    for site in trusted.sites_touched():
+        assert revalidated.nodes_at_site(site) == (
+            trusted.nodes_at_site(site)
+        )
 
 
 class TestTrustedEqualsValidated:
