@@ -71,9 +71,10 @@ BENCH_core.json schema::
     }
 
 where each scenario entry records ``wall_s``, ``events`` (simulator
-events processed), ``events_per_sec``, ``ops`` (committed-attempt trace
-operations), ``ops_per_sec``, ``committed``, ``aborts``, ``end_time``,
-and ``digest``.
+events processed), ``events_per_sec``, ``ops`` (operations executed by
+every attempt, aborted ones included: ``Simulator.executed_steps``),
+``ops_per_sec``, ``committed``, ``aborts``, ``end_time``, and
+``digest``.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def run_scenario(builder, repeats: int) -> dict:
         result = sim.run()
         wall = time.perf_counter() - start
         events = sim._events_processed
-        ops = len(sim._trace) // 3  # txn, node, attempt per operation
+        ops = sim.executed_steps  # every attempt's operations
         entry = {
             "wall_s": round(wall, 4),
             "events": events,

@@ -367,6 +367,7 @@ class DurabilityManager:
             for entry in [e for e in inst.retained if e[1] == sid]:
                 inst.retained.discard(entry)
                 sim._retained_total -= 1
+            sim._shed(inst)  # a committed holder may now retain nothing
             for eid, granted in table.release_all(txn):
                 for grantee in granted:  # pragma: no cover - defensive
                     sim._on_grant(grantee, eid, sid)
@@ -439,8 +440,7 @@ class DurabilityManager:
                     continue
                 mode = SHARED if eid in inst.shared_eids else EXCLUSIVE
                 if table.request(txn, eid, mode):
-                    inst.retained.add((eid, held))
-                    sim._retained_total += 1
+                    sim.retain(inst, eid, held)
                     reacquired.add((txn, eid))
                 else:  # pragma: no cover - empty-table requests grant
                     table.cancel_wait(txn, eid)

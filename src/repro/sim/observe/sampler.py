@@ -51,6 +51,9 @@ class MetricsSampler(ProbeSink):
         self._inflight = 0
         self._blocked = 0
         self._queue_depth: list[int] = []
+        # txn -> its queued lock requests: the transactions a window
+        # close's waits-for edge count must visit
+        self._waiters: dict[int, int] = {}
         # current-window accumulators (full-time, not warmup-gated)
         self._wlast = 0.0
         self._boundary = self.window
@@ -87,9 +90,17 @@ class MetricsSampler(ProbeSink):
         elif kind == "wait":
             self._blocked += 1
             self._queue_depth[args[0]] += 1
+            txn = args[2]
+            self._waiters[txn] = self._waiters.get(txn, 0) + 1
         elif kind == "unwait":
             self._blocked -= 1
             self._queue_depth[args[0]] -= 1
+            txn = args[2]
+            left = self._waiters[txn] - 1
+            if left:
+                self._waiters[txn] = left
+            else:
+                del self._waiters[txn]
         elif kind == "commit":
             self._inflight -= 1
             self._commits += 1
@@ -142,14 +153,16 @@ class MetricsSampler(ProbeSink):
         """Distinct waits-for edges right now.
 
         Reads the incrementally maintained graph when the policy keeps
-        one; otherwise falls back to the from-scratch rebuild (cold —
-        once per window close, never per event).
+        one; otherwise rebuilds the edges of the transactions with a
+        queued request (cold — once per window close, never per event),
+        so a close does not visit every transaction ever injected.
         """
         sim = self._sim
         wf = sim._waits_for
         if wf is not None:
             return sum(len(counts) for counts in wf._edges.values())
-        return sum(len(h) for h in sim._wait_for_edges().values())
+        edges = sim._wait_for_edges(self._waiters)
+        return sum(len(h) for h in edges.values())
 
     # ------------------------------------------------------------------
     # finalize

@@ -74,15 +74,20 @@ because id order equals sorted-name order, every historically
 ``sorted()``-dependent iteration is preserved bit for bit while the
 comparisons and hashes become integer-cheap. The waits-for
 graph is maintained incrementally (:mod:`repro.sim.waitsfor`) instead
-of being rebuilt each detection tick, the committed-operation trace is
-recorded append-only in dispatch order (already sorted — no final
-sort), and finished transactions retire from every per-event scan.
-Name-based accessors (``lock_tables()``, ``site_names()``,
-``entity_id()``/``site_id()``) remain for subsystems and tests.
+of being rebuilt each detection tick, the operation trace is recorded
+append-only in dispatch order (already sorted — no final sort), and
+finished transactions retire from every per-event scan. A committed
+transaction that retains no lock sheds its instance's per-attempt
+containers and compiled data, and its steps leave the trace for a
+packed log of final steps, so an open run does not keep the execution
+state of everything it ever ran. Name-based accessors
+(``lock_tables()``, ``site_names()``, ``entity_id()``/``site_id()``)
+remain for subsystems and tests.
 
 The completed operations form a trace, and the runtime closes the
 loop with the static theory by testing the final attempts' part of it
-with Lemma 1's D(S') in one pass: lock-order arcs between conflicting
+with Lemma 1's D(S') in one pass over the transactions' own ops, read
+sets and predecessor masks: lock-order arcs between conflicting
 accesses (two reads do not conflict), plus arcs from an entity's
 lockers to the accessors that have not locked it yet. A lock granted
 while another final attempt holds the entity in a conflicting mode —
@@ -94,8 +99,9 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from array import array
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from heapq import heappop as _heappop, heappush as _heappush
 from types import MappingProxyType
@@ -133,6 +139,11 @@ _ABORTED = "aborted"
 
 _LOCK = OpKind.LOCK
 _UNLOCK = OpKind.UNLOCK
+
+# What a shed instance holds in place of its per-attempt containers:
+# one shared, immutable, empty value each (see Simulator._shed).
+_NO_ENTRIES = MappingProxyType({})
+_NO_LOCKS: frozenset[tuple[int, int]] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -269,6 +280,17 @@ class _Instance:
     kinds, the eid -> Lock-node table, the read (shared-mode) eid set,
     the written eids in sorted order, the bitmask of nodes whose issue
     crosses sites (network delay), and the Dag's direct masks.
+
+    Once the transaction commits and retains no lock, no event reads
+    its per-attempt state again, and :meth:`Simulator._shed` drops it:
+    ``waiting``, ``retained`` and ``pending_replicas`` become shared
+    immutable empties, and the compiled sequences and tables (``eids``,
+    ``kinds``, ``lock_node_of``, ``write_eids``, ``preds``, ``succ``)
+    empty tuples or the shared empty mapping. What stays is the scalar
+    slots, ``shared_eids`` (recovery replay reads it) and
+    ``lock_sites`` (the commit round's sites,
+    :meth:`Simulator.transaction_sites`). Read per-attempt state before
+    the commit, or through :class:`Simulator` methods.
     """
 
     __slots__ = (
@@ -398,14 +420,17 @@ class Simulator:
         self._retained_total = 0
         # Three flat ints per completed operation — txn, node, attempt
         # — appended in dispatch order, which IS (time, seq) order, so
-        # the entries need carry neither. Flat, not one tuple per
-        # operation: an open run keeps its whole history until the
-        # verdict, and a tuple with its slot cost 72 bytes where the
-        # three slots cost 24 (the txn int is the one ``inst.index``
-        # owns). The bound append is cached: three calls per simulated
-        # operation.
-        self._trace: list[int] = []
+        # the entries need carry neither, and no tuple per operation.
+        # The bound append is cached: three calls per simulated
+        # operation. The trace holds only the pending steps, from the
+        # oldest undecided one on: each commit and abort settles its
+        # head (_settle_trace), dropping the steps of aborted attempts
+        # and moving a committed transaction's to ``_final_log``, two
+        # unsigned 32-bit ints (txn, node) per step in trace order.
+        self._trace: deque[int] = deque()
         self._trace_append = self._trace.append
+        self._final_log = array("I")
+        self._dropped_steps = 0
         self._on_conflict = self.policy.on_conflict
         # Policies that never abort anyone on conflict (blocking,
         # detect, timeout — the base rule) skip the whole decision
@@ -625,6 +650,16 @@ class Simulator:
         """The current simulated time."""
         return self._now
 
+    @property
+    def executed_steps(self) -> int:
+        """Operations executed so far, by every attempt: the final
+        steps logged, the steps still pending in the trace and the
+        aborted attempts' steps it dropped."""
+        return (
+            len(self._final_log) // 2 + len(self._trace) // 3
+            + self._dropped_steps
+        )
+
     def instance(self, txn: int) -> _Instance:
         """The mutable state of transaction ``txn``."""
         return self._instances[txn]
@@ -720,7 +755,10 @@ class Simulator:
         write-replica (and read-quorum) site in the commit round.
         """
         inst = self._instances[txn]
-        first_eid = inst.eids[0]
+        # From the transaction, not the instance: a recovered
+        # participant asks after a commit, when the instance has shed
+        # its compiled ids.
+        first_eid = self._entity_ids[self.system[txn].ops[0].entity]
         lock_sids = inst.lock_sites.get(first_eid)
         coordinator_sid = (
             lock_sids[0] if lock_sids else self._primary_sid[first_eid]
@@ -775,6 +813,8 @@ class Simulator:
         self.replicas.on_commit(inst)
         if self._probe is not None:
             self._probe("commit", (inst.index,))
+        self._shed(inst)
+        self._settle_trace()
 
     def abort_from_commit(self, inst: _Instance) -> None:
         """Abort a PREPARED transaction whose commit round failed."""
@@ -793,7 +833,8 @@ class Simulator:
         Restricted to one site when ``site_name`` is given (a commit
         decision arriving at that participant). Waiters blocked behind
         the retained lock have the prepared portion of their wait
-        charged to ``prepared_block_time``.
+        charged to ``prepared_block_time``. A committed transaction
+        left retaining nothing sheds its execution state.
         """
         only_sid = None if site_name is None else self._site_ids[site_name]
         prepared_since = inst.prepared_since
@@ -826,6 +867,58 @@ class Simulator:
                             )
             for granted in site.release(inst.index, eid):
                 self._on_grant(granted, eid, held_at)
+        self._shed(inst)
+
+    def retain(self, inst: _Instance, eid: int, sid: int) -> None:
+        """Record that ``inst`` retains its lock on ``eid`` at ``sid``.
+
+        Recovery replay re-acquires a committed transaction's
+        log-implied locks through this; a shed instance gets a fresh
+        set, and sheds again once :meth:`release_retained` empties it.
+        """
+        if inst.retained is _NO_LOCKS:
+            inst.retained = set()
+        inst.retained.add((eid, sid))
+        self._retained_total += 1
+
+    def _shed(self, inst: _Instance) -> None:
+        """Drop a committed transaction's per-attempt state once it
+        retains no lock (see :class:`_Instance`); a no-op otherwise."""
+        if inst.status != _COMMITTED or inst.retained:
+            return
+        inst.waiting = inst.pending_replicas = _NO_ENTRIES
+        inst.lock_node_of = _NO_ENTRIES
+        inst.retained = _NO_LOCKS
+        inst.eids = inst.kinds = inst.write_eids = ()
+        inst.preds = inst.succ = ()
+
+    def _settle_trace(self) -> None:
+        """Advance the trace's head past its decided steps.
+
+        A step whose attempt is no longer its transaction's live one
+        belongs to an aborted attempt and is dropped; a step of a
+        committed transaction moves to the final-step log. The first
+        step of an undecided attempt stops the walk, so every step is
+        passed once and the log stays in trace order.
+        """
+        trace = self._trace
+        popleft = trace.popleft
+        log_append = self._final_log.append
+        instances = self._instances
+        dropped = 0
+        while trace:
+            inst = instances[trace[0]]
+            if trace[2] == inst.attempt:
+                if inst.status != _COMMITTED:
+                    break
+                log_append(popleft())
+                log_append(popleft())
+            else:
+                dropped += 1
+                popleft()
+                popleft()
+            popleft()
+        self._dropped_steps += dropped
 
     def crash_site(self, site_name: str) -> None:
         """Abort every RUNNING transaction with lock state at the site.
@@ -1503,6 +1596,7 @@ class Simulator:
         inst.exec_done_time = -1.0
         inst.prepared_since = -1.0
         inst.attempt += 1
+        self._settle_trace()
         self.commit.on_abort(inst)
         delay = self.config.restart_delay + self._rng.uniform(
             0, self.config.restart_jitter
@@ -1518,29 +1612,34 @@ class Simulator:
 
     def _on_timeout(self, txn: int, node: int, attempt: int) -> None:
         inst = self._instances[txn]
+        if inst.status != _RUNNING or inst.attempt != attempt:
+            return  # stale: the attempt aborted, or committed and shed
         eid = inst.eids[node]
-        if (
-            inst.status == _RUNNING
-            and inst.attempt == attempt
-            and any(key[0] == eid for key in inst.waiting)
-        ):
+        if any(key[0] == eid for key in inst.waiting):
             self._abort(inst, "timeout")
 
     # ------------------------------------------------------------------
     # deadlock machinery
     # ------------------------------------------------------------------
 
-    def _wait_for_edges(self) -> dict[int, set[int]]:
+    def _wait_for_edges(
+        self, txns: Iterable[int] | None = None
+    ) -> dict[int, set[int]]:
         """Waits-for graph rebuilt from scratch: waiter -> holders.
 
         The reference implementation — the hot path consumes the
         incrementally maintained :class:`WaitsForGraph` instead; this
         rebuild remains for the policies that never track the graph
-        and as the oracle the property tests compare against.
+        and as the oracle the property tests compare against. ``txns``
+        restricts the scan to those transactions (a superset of the
+        waiters, in any order); by default every instance is visited.
         """
         edges: dict[int, set[int]] = {}
         site_list = self._site_list
-        for inst in self._instances:
+        instances = self._instances
+        if txns is not None:
+            instances = map(instances.__getitem__, txns)
+        for inst in instances:
             if inst.status != _RUNNING or not inst.waiting:
                 continue
             for eid, sid in inst.waiting:
@@ -1763,22 +1862,23 @@ class Simulator:
     def _final_steps(
         self, committed_only: bool
     ) -> Iterator[tuple[int, int]]:
-        # The trace is appended in dispatch order, which is already
-        # (time, seq) order — the historical sort was a no-op and is
-        # gone. Steps are yielded, not listed, so the end-of-run
-        # verdict over a long trace holds no tuple per step. ``final``
-        # is, per transaction, the attempt whose operations the steps
-        # keep: -1, which no attempt has, for one they leave out.
-        final = [
-            inst.attempt
-            if inst.status != _ABORTED
-            and (not committed_only or inst.status == _COMMITTED)
-            else -1
-            for inst in self._instances
-        ]
+        # The final attempts' steps in dispatch order, which is already
+        # (time, seq) order: the logged committed steps, which precede
+        # every pending one, then the pending steps of each
+        # transaction's live attempt (of committed transactions only
+        # when ``committed_only``). Steps are yielded, not listed, so
+        # the end-of-run verdict holds no tuple per step.
+        logged = iter(self._final_log)
+        yield from zip(logged, logged)
+        instances = self._instances
         entries = iter(self._trace)
         for txn, node, attempt in zip(entries, entries, entries):
-            if attempt == final[txn]:
+            inst = instances[txn]
+            status = inst.status
+            if attempt == inst.attempt and (
+                status == _COMMITTED
+                or not committed_only and status != _ABORTED
+            ):
                 yield txn, node
 
     def _check_serializability(self) -> bool:
@@ -1801,13 +1901,21 @@ class Simulator:
         site failure two attempts can hold one entity through disjoint
         replica sets.
 
+        Each step's operation, read set and predecessor mask are read
+        from the transaction itself (``self.system``), not from its
+        instance, which sheds its compiled data at commit.
+
         Raises:
             RuntimeError: if a step repeats or runs before one of its
                 predecessors (a runtime bug).
         """
-        instances = self._instances
+        system = self.system
+        ops = [t.ops for t in system]
+        preds = [t.dag.predecessor_masks() for t in system]
+        read_sets = [t.read_set for t in system]
+        eid_of = self._entity_ids
         n_entities = len(self._entity_names)
-        masks = [0] * len(instances)
+        masks = [0] * len(ops)
         last_writer = [-1] * n_entities
         readers: list[list[int]] = [[] for _ in range(n_entities)]
         writers_in = [0] * n_entities
@@ -1826,19 +1934,20 @@ class Simulator:
                     edges.setdefault(reader, []).append(txn)
 
         for txn, node in self._final_steps(False):
-            inst = instances[txn]
             mask = masks[txn]
-            if mask >> node & 1 or inst.preds[node] & ~mask:
-                label = self.system.describe_node(GlobalNode(txn, node))
+            if mask >> node & 1 or preds[txn][node] & ~mask:
+                label = system.describe_node(GlobalNode(txn, node))
                 raise RuntimeError(
                     f"the trace repeats {label}" if mask >> node & 1
                     else f"the trace runs {label} before a predecessor"
                 )
             masks[txn] = mask | 1 << node
-            kind = inst.kinds[node]
+            op = ops[txn][node]
+            kind = op.kind
             if kind is _LOCK:
-                eid = inst.eids[node]
-                shared = eid in inst.shared_eids
+                entity = op.entity
+                eid = eid_of[entity]
+                shared = entity in read_sets[txn]
                 if writers_in[eid] or not shared and readers_in[eid]:
                     legal = False
                 follow(txn, eid, shared)
@@ -1850,19 +1959,22 @@ class Simulator:
                     last_writer[eid] = txn
                     readers[eid] = []
             elif kind is _UNLOCK:
-                eid = inst.eids[node]
-                if eid in inst.shared_eids:
-                    readers_in[eid] -= 1
+                entity = op.entity
+                if entity in read_sets[txn]:
+                    readers_in[eid_of[entity]] -= 1
                 else:
-                    writers_in[eid] -= 1
-        for inst in instances:
-            mask = masks[inst.index]
-            if mask != inst.all_mask:
-                for eid, node in inst.lock_node_of.items():
-                    if not mask >> node & 1:
-                        follow(inst.index, eid, eid in inst.shared_eids)
+                    writers_in[eid_of[entity]] -= 1
+        for txn, t_ops in enumerate(ops):
+            mask = masks[txn]
+            if mask != (1 << len(t_ops)) - 1:
+                # Lemma 1's arcs into a transaction that has not locked
+                # everything it accesses, in node order.
+                for node, op in enumerate(t_ops):
+                    if op.kind is _LOCK and not mask >> node & 1:
+                        follow(txn, eid_of[op.entity],
+                               op.entity in read_sets[txn])
         return legal and find_cycle_ints(
-            list(edges), lambda u: edges.get(u, ()), len(instances)
+            list(edges), lambda u: edges.get(u, ()), len(ops)
         ) is None
 
     def committed_schedule(self) -> Schedule:

@@ -27,6 +27,7 @@ controls the locking style:
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -392,8 +393,11 @@ class CompiledWorkload:
 
         # Shape-defining arcs (2PL closure, global lock chain).
         _structural_arcs(spec, sequence, flat, succ, pred)
+        # Packed, 4 bytes per node id: an open run keeps every arrival's
+        # arc list, read only by a static query of ``Dag.arcs``.
         return Transaction.trusted(
-            name, sequence, Dag.from_masks(n_ops, tuple(flat), succ, pred),
+            name, sequence,
+            Dag.from_masks(n_ops, array("I", flat), succ, pred),
             self.schema, read_set,
         )
 

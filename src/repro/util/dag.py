@@ -94,8 +94,9 @@ class Dag:
         each forward (``0 <= u < v < n``), and ``succ``/``pred`` are
         their direct masks (a repeated arc just re-sets its bits, and
         :attr:`arcs` dedups). The workload generator sets all three as
-        it draws each arc, and the simulator reads only the masks, so
-        an open run keeps no ``(u, v)`` tuple per arc. The closure is
+        it draws each arc, passing ``flat`` as a packed ``array('I')``,
+        and the simulator reads only the masks, so an open run keeps no
+        ``(u, v)`` tuple per arc. The closure is
         computed on first read and :attr:`arcs` built in the order
         given, so the Dag answers every query like a validated one.
         """

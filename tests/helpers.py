@@ -10,7 +10,7 @@ from repro.core.schedule import IllegalScheduleError, Schedule
 from repro.core.serialization import is_serializable
 from repro.core.system import TransactionSystem
 from repro.core.transaction import Transaction
-from repro.sim.runtime import _COMMITTED, _PREPARED
+from repro.sim.runtime import _ABORTED, _COMMITTED, _PREPARED
 from repro.sim.workload import WorkloadSpec, random_system
 from repro.util.graphs import Digraph
 
@@ -86,6 +86,36 @@ def log_replay_state(log) -> tuple[set, dict]:
         if (txn, entry[0]) not in decided
     }
     return keys, open_prepares
+
+
+def record_trace(sim) -> list[int]:
+    """Record every step ``sim`` executes through its trace-append seam.
+
+    Returns the list the wrapper extends with each step's three flat
+    ints (txn, node, attempt), in dispatch order, aborted attempts
+    included: the whole history the runtime's trace no longer keeps.
+    """
+    recorded: list[int] = []
+    append = sim._trace_append
+
+    def spy(value: int) -> None:
+        recorded.append(value)
+        append(value)
+
+    sim._trace_append = spy
+    return recorded
+
+
+def final_attempt_steps(sim, recorded: list[int]) -> list[tuple[int, int]]:
+    """The ``(txn, node)`` steps of :func:`record_trace`'s history that
+    belong to each transaction's final attempt, in dispatch order."""
+    entries = iter(recorded)
+    return [
+        (txn, node)
+        for txn, node, attempt in zip(entries, entries, entries)
+        if attempt == sim.instance(txn).attempt
+        and sim.instance(txn).status != _ABORTED
+    ]
 
 
 def log_implied_locks(sim, site: str) -> set:

@@ -1,6 +1,7 @@
 """Unit and property tests for repro.util.dag."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -287,3 +288,27 @@ class TestTrustedDag:
                 for _ in range(rng.randint(0, 40))
             ]
             assert list(Dag.trusted(n, arcs).arcs) == list(Dag(n, arcs).arcs)
+
+    def test_generated_arcs_are_packed_and_read_in_drawn_order(self):
+        # The generator hands its flat arc list over as an array('I'),
+        # 4 bytes per node id; reading ``arcs`` still builds the set in
+        # drawn order, as the validating Dag does.
+        from repro.sim.workload import (
+            CompiledWorkload, WorkloadSpec, random_schema,
+        )
+
+        rng = random.Random(11)
+        spec = WorkloadSpec(
+            n_entities=12, n_sites=4, entities_per_txn=(2, 6),
+            actions_per_entity=(0, 3), cross_arc_p=0.3,
+        )
+        generate = CompiledWorkload(spec, random_schema(rng, 12, 4)).generate
+        arcs_seen = 0
+        for i in range(50):
+            dag = generate(f"T{i}", rng).dag
+            flat = dag._arc_src
+            assert isinstance(flat, array) and flat.typecode == "I"
+            drawn = list(zip(flat[::2], flat[1::2]))
+            arcs_seen += len(drawn)
+            assert list(dag.arcs) == list(Dag(dag.n, drawn).arcs)
+        assert arcs_seen > 0

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.core.system import TransactionSystem
 from repro.core.transaction import Transaction
 from repro.sim.workload import WorkloadSpec, random_system
 
-from tests.helpers import seq
+from tests.helpers import record_trace, seq
 
 
 def deadlock_pair() -> TransactionSystem:
@@ -260,13 +261,15 @@ class TestFastPathSurface:
         # (time, seq) order — so an entry carries only txn, node and
         # attempt, as three flat ints with no tuple per operation, and
         # the committed replay is a legal Schedule without any
-        # re-sorting.
+        # re-sorting. Once the run is complete every step is decided:
+        # the trace is empty and the final steps sit in the packed log.
         sim = Simulator(deadlock_pair(), "wound-wait")
-        sim.run()
-        trace = sim._trace
-        assert trace and len(trace) % 3 == 0
-        assert all(type(value) is int for value in trace)
-        entries = list(zip(trace[0::3], trace[1::3], trace[2::3]))
+        recorded = record_trace(sim)
+        result = sim.run()
+        assert result.aborts > 0
+        assert recorded and len(recorded) % 3 == 0
+        assert all(type(value) is int for value in recorded)
+        entries = list(zip(recorded[0::3], recorded[1::3], recorded[2::3]))
         system = sim.system
         assert all(
             0 <= txn < len(system) and 0 <= node < system[txn].node_count
@@ -277,6 +280,11 @@ class TestFastPathSurface:
             for txn, node, attempt in entries
             if attempt == sim._instances[txn].attempt
         ]
+        assert len(sim._trace) == 0
+        assert isinstance(sim._final_log, array)
+        assert sim._final_log.typecode == "I"
+        assert list(zip(sim._final_log[0::2], sim._final_log[1::2])) == final
+        assert sim.executed_steps == len(entries)
         # replays without IllegalScheduleError, in trace order
         schedule = sim.committed_schedule()
         assert schedule.is_complete()
@@ -304,11 +312,14 @@ class TestTraceReplay:
 
 class TestWhatARunKeeps:
     # Bytes that tracemalloc attributes to a finished open-run
-    # Simulator, per operation it executed: about 300 (3.11) while the
-    # trace, the generated arcs and the empty read sets are flat or
-    # shared, about 460 when each operation and each arc was a tuple
+    # Simulator, per operation it executed (by any attempt): about 136
+    # (3.11) once a committed transaction sheds its execution state,
+    # its steps move to the packed final-step log and the generated
+    # arcs are packed; about 231 while every instance kept its
+    # containers and compiled data and the trace every attempt's
+    # steps; about 460 when each operation and each arc was a tuple
     # and each transaction had empty frozensets of its own.
-    KEPT_BYTES_PER_OP = 380
+    KEPT_BYTES_PER_OP = 180
 
     def test_open_run_keeps_its_history_flat(self):
         spec = WorkloadSpec(
@@ -326,7 +337,7 @@ class TestWhatARunKeeps:
         try:
             sim = Simulator(batch, "wound-wait", config)
             result = sim.run()
-            ops = len(sim._trace) // 3
+            ops = sim.executed_steps
             gc.collect()
             live = tracemalloc.get_traced_memory()[0]
             del sim

@@ -168,17 +168,18 @@ class TestOneVerdict:
     def test_an_illegal_trace_raises(self, fault):
         # Either corruption means the runtime broke its own order, not
         # that the history is not serializable.
+        # A complete run's final steps are all in the packed log, two
+        # ints (txn, node) per step; the verdict reads them from there.
         sim = Simulator(pair_system(["Lx", "Ux"], ["Ly", "Uy"]))
         assert sim.run().serializable is True
-        trace = sim._trace
-        lock, unlock = (i for i in range(0, len(trace), 3) if trace[i] == 0)
+        assert len(sim._trace) == 0
+        log = sim._final_log
+        lock, unlock = (i for i in range(0, len(log), 2) if log[i] == 0)
         if fault == "repeat":
-            trace.extend(trace[lock:lock + 3])
+            log.extend(log[lock:lock + 2])
             message = "repeats L1x"
         else:
-            trace[lock + 1], trace[unlock + 1] = (
-                trace[unlock + 1], trace[lock + 1]
-            )
+            log[lock + 1], log[unlock + 1] = log[unlock + 1], log[lock + 1]
             message = "runs U1x before a predecessor"
         with pytest.raises(RuntimeError, match=message):
             sim._check_serializability()
