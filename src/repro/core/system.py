@@ -29,16 +29,11 @@ class TransactionSystem:
 
     Args:
         transactions: the member transactions; names must be distinct.
-        schema: optional pre-merged schema covering every member
-            transaction consistently. When given, the per-transaction
-            schema merge is skipped entirely — the caller vouches for
-            the placement (the open-system runtime passes the run
-            schema it already merged at construction, turning the
-            freeze of a long run from one merge per transaction into
-            O(1)).
 
     The entity -> accessors index waits for the first query that reads
     it, so freezing an open run builds no arrival's name-keyed tables.
+    :meth:`over` builds a system over a member sequence and a merged
+    schema that the caller vouches for, checking and copying nothing.
 
     Raises:
         ValueError: on duplicate names or conflicting entity placement.
@@ -46,19 +41,13 @@ class TransactionSystem:
 
     __slots__ = ("transactions", "schema", "_accessors")
 
-    def __init__(
-        self,
-        transactions: Sequence[Transaction],
-        schema: DatabaseSchema | None = None,
-    ):
+    def __init__(self, transactions: Sequence[Transaction]):
         names = [t.name for t in transactions]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate transaction names in {names}")
         self.transactions = tuple(transactions)
         first_schema = transactions[0].schema if transactions else None
-        if schema is not None:
-            pass
-        elif first_schema is not None and all(
+        if first_schema is not None and all(
             t.schema is first_schema for t in transactions
         ):
             # One shared schema object (the generated-workload and
@@ -75,6 +64,27 @@ class TransactionSystem:
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
+
+    @classmethod
+    def over(
+        cls, members: Sequence[Transaction], schema: DatabaseSchema
+    ) -> "TransactionSystem":
+        """A system whose member sequence is ``members`` itself.
+
+        Nothing is copied, checked or read: the caller vouches for
+        distinct names and for ``schema`` covering every member
+        consistently, so no per-transaction schema merge runs (the
+        open-system runtime passes the run schema it merged at
+        construction, which makes freezing a long run O(1)). Every
+        query reads a member through the sequence, so it may produce
+        one on request (a finished open run regenerates the arrivals
+        it forgot).
+        """
+        system = cls.__new__(cls)
+        system.transactions = members
+        system.schema = schema
+        system._accessors = None
+        return system
 
     @classmethod
     def of_copies(cls, transaction: Transaction, count: int) -> (

@@ -26,7 +26,10 @@ Determinism is layered the same way as the failure injector:
   arrival rate, failures and chaos change none of them, so every run
   that derives the same key injects the same transactions and may read
   one shared stream: the stream generates each transaction on its
-  first request and keeps it for the next reader;
+  first request and keeps it for the next reader. A run that builds
+  its own stream (a *private* one) keeps none: it reads each arrival
+  without caching it and forgets it once it commits, and its frozen
+  system regenerates a forgotten arrival on request;
 * the schema derives from ``config.workload_seed`` alone (with the
   closed batch's placement winning for shared entity names), so runs
   with different ``seed`` (replicates) stress the *same* database.
@@ -39,7 +42,7 @@ drains naturally.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.entity import DatabaseSchema
@@ -66,29 +69,54 @@ class OpenSystem:
     arrivals append here in O(1) and :meth:`frozen` materializes the
     real thing once, when the run ends, so ``sim.system`` answers the
     static theory's queries (accessor indexes, schedules) afterwards.
+
+    Given the run's private ``stream``, the view may :meth:`forget` a
+    committed arrival: it drops its reference, and reading that member
+    raises :class:`LookupError` until the run ends (no path of a run
+    reads a committed transaction), after which the frozen system
+    regenerates it from the stream on request. The members passed in
+    at construction (the closed batch, which the caller owns) are
+    never forgotten.
     """
 
-    __slots__ = ("schema", "transactions")
+    __slots__ = ("schema", "transactions", "_stream", "_base")
 
     def __init__(
-        self, transactions: Iterable[Transaction], schema: DatabaseSchema
+        self,
+        transactions: Iterable[Transaction],
+        schema: DatabaseSchema,
+        stream: ArrivalStream | None = None,
     ):
-        self.transactions: list[Transaction] = list(transactions)
+        self.transactions: list[Transaction | None] = list(transactions)
         self.schema = schema
+        self._stream = stream
+        self._base = len(self.transactions)
 
     def __len__(self) -> int:
         return len(self.transactions)
 
     def __getitem__(self, index: int) -> Transaction:
-        return self.transactions[index]
+        txn = self.transactions[index]
+        if txn is None:
+            raise LookupError(
+                f"member {index} was forgotten at its commit; the frozen "
+                "system regenerates it"
+            )
+        return txn
 
     def __iter__(self):
-        return iter(self.transactions)
+        return map(self.__getitem__, range(len(self.transactions)))
 
     def append(self, txn: Transaction) -> int:
         """Add a transaction; its entities must be in ``schema``."""
         self.transactions.append(txn)
         return len(self.transactions) - 1
+
+    def forget(self, index: int) -> None:
+        """Drop member ``index`` if it is an arrival of a private
+        stream (a no-op for a closed-batch member or without one)."""
+        if self._stream is not None and index >= self._base:
+            self.transactions[index] = None
 
     def frozen(self) -> TransactionSystem:
         """The accumulated transactions as a real TransactionSystem.
@@ -100,9 +128,47 @@ class OpenSystem:
         re-merging one schema per transaction (which made freezing a
         long batch+arrival run linear in run length times schema size).
         Its accessor index, and with it every arrival's name-keyed
-        tables, waits for the first static query that reads it.
+        tables, waits for the first static query that reads it. Its
+        members are a :class:`_Members` view, which regenerates each
+        forgotten arrival on its first request, so freezing regenerates
+        nothing; the names need no check, as the arrivals' are primed
+        past the closed batch's.
         """
-        return TransactionSystem(self.transactions, schema=self.schema)
+        return TransactionSystem.over(
+            _Members(self.transactions, self._base, self._stream),
+            self.schema,
+        )
+
+
+class _Members(Sequence):
+    """A finished open run's members in injection order: the kept ones
+    as they are, and each forgotten arrival regenerated from the run's
+    stream on its first request (then kept, so it stays one object)."""
+
+    __slots__ = ("_members", "_base", "_stream")
+
+    def __init__(
+        self,
+        members: list[Transaction | None],
+        base: int,
+        stream: ArrivalStream | None,
+    ):
+        self._members = members
+        self._base = base
+        self._stream = stream
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        members = self._members
+        txn = members[index]
+        if txn is None:
+            index = range(len(members))[index]
+            txn = members[index] = self._stream.generate(index - self._base)
+        return txn
 
 
 def _arrival_schema(
@@ -137,15 +203,18 @@ class ArrivalStream:
     """Arrival ``i``'s transaction, for every run that shares a key.
 
     ``stream[i]`` is the transaction the ``i``-th arrival injects. It
-    is generated on first request — re-seeded from ``(seed, i)``, named
-    ``TX{i+1}`` (primed past the closed batch's names), then drawn by
-    :meth:`CompiledWorkload.generate <repro.sim.workload.
-    CompiledWorkload.generate>` — and kept, so every later run that
-    reads the stream takes the same object instead of generating it
-    again. Runs share the transactions read-only: the simulator never
-    mutates one, and the only writes any query makes, a ``Dag``'s lazy
-    closure cache and arc set and a transaction's lazy name-keyed
-    tables, store the same values whoever makes them first.
+    is generated on first request by :meth:`generate` and kept, so
+    every later run that reads the stream takes the same object instead
+    of generating it again. Runs share the transactions read-only: the
+    simulator never mutates one, and the only writes any query makes, a
+    ``Dag``'s lazy closure cache and arc set and a transaction's lazy
+    name-keyed tables, store the same values whoever makes them first.
+
+    Only a stream handed to several runs (a sweep batch's, or one
+    ``repro simulate`` seed's) is read by indexing. A run that builds
+    its own stream reads :meth:`generate`, which keeps nothing, so the
+    run can forget each arrival once it commits (see
+    :class:`OpenSystem`).
 
     Args:
         system: the run's closed batch (empty for a pure open system).
@@ -202,10 +271,16 @@ class ArrivalStream:
     def __getitem__(self, index: int) -> Transaction:
         transactions = self._transactions
         while len(transactions) <= index:
-            transactions.append(self._generate(len(transactions)))
+            transactions.append(self.generate(len(transactions)))
         return transactions[index]
 
-    def _generate(self, index: int) -> Transaction:
+    def generate(self, index: int) -> Transaction:
+        """Arrival ``index``'s transaction, generated afresh and not
+        kept: re-seeded from ``(seed, index)``, named ``TX{index+1}``
+        (primed past the closed batch's names), then drawn by
+        :meth:`CompiledWorkload.generate <repro.sim.workload.
+        CompiledWorkload.generate>`. Every call returns an equal
+        transaction."""
         rng = self._rng
         rng.seed(
             (self.seed * 2_654_435_761 + index * 40_503 + 1) & 0xFFFF_FFFF
@@ -221,19 +296,24 @@ class ArrivalProcess:
 
     Args:
         sim: the simulator, whose ``system`` is still the closed batch.
-        stream: the arrivals to inject; None builds the run's own.
+        stream: the arrivals to inject; None builds the run's own
+            (``private``), whose arrivals are read without being kept.
 
     Raises:
         ValueError: without a positive arrival rate, or when
             ``stream`` was built for a run with another key.
     """
 
-    __slots__ = ("sim", "stream", "_clock", "injected", "finished")
+    __slots__ = (
+        "sim", "stream", "private", "_read", "_clock", "injected",
+        "finished",
+    )
 
     def __init__(self, sim: Simulator, stream: ArrivalStream | None = None):
         config = sim.config
         if config.arrival_rate <= 0:
             raise ValueError("arrival process needs arrival_rate > 0")
+        self.private = stream is None
         if stream is None:
             stream = ArrivalStream(sim.system, config)
         elif not stream.serves(sim.system, config):
@@ -243,6 +323,9 @@ class ArrivalProcess:
             )
         self.sim = sim
         self.stream = stream
+        # A shared stream keeps each arrival for its other readers; a
+        # private one has none, so the run reads without caching.
+        self._read = stream.generate if self.private else stream.__getitem__
         # Private clock stream: arrivals must not perturb the main RNG.
         self._clock = random.Random(
             (config.seed + 2) * 1_000_003 + 0xA441
@@ -274,7 +357,7 @@ class ArrivalProcess:
         sim.schedule(gap, ("arrive",))
 
     def _on_arrive(self) -> None:
-        txn = self.stream[self.injected]
+        txn = self._read(self.injected)
         self.injected += 1
         self.sim.add_transaction(txn)
         self._schedule_next()

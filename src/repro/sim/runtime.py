@@ -80,19 +80,23 @@ finished transactions retire from every per-event scan. A committed
 transaction that retains no lock sheds its instance's per-attempt
 containers and compiled data, and its steps leave the trace for a
 packed log of final steps, so an open run does not keep the execution
-state of everything it ever ran. Name-based accessors
-(``lock_tables()``, ``site_names()``, ``entity_id()``/``site_id()``)
-remain for subsystems and tests.
+state of everything it ever ran; a run that built its own arrival
+stream forgets the committed arrival itself too, and regenerates it
+only when ``sim.system`` is asked for it after the run. Name-based
+accessors (``lock_tables()``, ``site_names()``,
+``entity_id()``/``site_id()``) remain for subsystems and tests.
 
-The completed operations form a trace, and the runtime closes the
-loop with the static theory by testing the final attempts' part of it
-with Lemma 1's D(S') in one pass over the transactions' own ops, read
-sets and predecessor masks: lock-order arcs between conflicting
-accesses (two reads do not conflict), plus arcs from an entity's
-lockers to the accessors that have not locked it yet. A lock granted
-while another final attempt holds the entity in a conflicting mode —
-possible under ``rowa-available``, whose writes lock only the replicas
-they reach — fails the verdict outright.
+The completed operations form a trace. Each step is recorded with its
+*access code* (entity id, lock/unlock/action, shared or exclusive),
+and executing a step that repeats or runs before a predecessor raises
+at once. The runtime closes the loop with the static theory by testing
+the final attempts' part of the trace with Lemma 1's D(S') in one pass
+over those codes: lock-order arcs between conflicting accesses (two
+reads do not conflict), plus arcs from an entity's lockers to the
+accessors that have not locked it yet. A lock granted while another
+final attempt holds the entity in a conflicting mode — possible under
+``rowa-available``, whose writes lock only the replicas they reach —
+fails the verdict outright.
 """
 
 from __future__ import annotations
@@ -113,7 +117,7 @@ from repro.core.operations import OpKind
 # the run's own verdict calls only ``find_cycle_ints``.
 from repro.core.schedule import Schedule
 from repro.core.serialization import is_serializable
-from repro.core.system import GlobalNode, TransactionSystem
+from repro.core.system import TransactionSystem
 from repro.core.transaction import Transaction
 from repro.sim.arrivals import ArrivalProcess, ArrivalStream, OpenSystem
 from repro.sim.commit import make_protocol
@@ -144,6 +148,17 @@ _UNLOCK = OpKind.UNLOCK
 # one shared, immutable, empty value each (see Simulator._shed).
 _NO_ENTRIES = MappingProxyType({})
 _NO_LOCKS: frozenset[tuple[int, int]] = frozenset()
+
+# A step's access code (``_Instance.codes``, derived once per node by
+# Simulator._compile): the entity id shifted past three flag bits, set
+# for a Lock, for an Unlock, and for an entity the transaction only
+# reads (an Action sets neither of the first two). The trace and the
+# final-step log carry it with each step, so the verdict reads neither
+# the transactions nor the shed instances.
+_CODE_LOCK = 1
+_CODE_UNLOCK = 2
+_CODE_SHARED = 4
+_CODE_SHIFT = 3
 
 
 @dataclass(frozen=True)
@@ -276,30 +291,33 @@ class _Instance:
     """Mutable execution state of one transaction.
 
     Besides the dynamic fields, the instance carries the transaction's
-    *compiled* hot data, set once at injection: per-node entity ids and
-    kinds, the eid -> Lock-node table, the read (shared-mode) eid set,
-    the written eids in sorted order, the bitmask of nodes whose issue
-    crosses sites (network delay), and the Dag's direct masks.
+    *compiled* hot data, set once at injection: per-node entity ids,
+    kinds and access codes, the eid -> Lock-node table, the read
+    (shared-mode) eid set, the written eids in sorted order, the
+    bitmask of nodes whose issue crosses sites (network delay), and the
+    Dag's direct masks.
 
     Once the transaction commits and retains no lock, no event reads
     its per-attempt state again, and :meth:`Simulator._shed` drops it:
-    ``waiting``, ``retained`` and ``pending_replicas`` become shared
-    immutable empties, and the compiled sequences and tables (``eids``,
-    ``kinds``, ``lock_node_of``, ``write_eids``, ``preds``, ``succ``)
-    empty tuples or the shared empty mapping. What stays is the scalar
-    slots, ``shared_eids`` (recovery replay reads it) and
-    ``lock_sites`` (the commit round's sites,
-    :meth:`Simulator.transaction_sites`). Read per-attempt state before
-    the commit, or through :class:`Simulator` methods.
+    ``waiting``, ``retained``, ``pending_replicas`` and ``lock_sites``
+    become shared immutable empties, and the compiled sequences and
+    tables (``eids``, ``kinds``, ``codes``, ``lock_node_of``,
+    ``write_eids``, ``preds``, ``succ``) empty tuples or the shared
+    empty mapping. What stays is the scalar slots, ``shared_eids``
+    (recovery replay reads it) and ``commit_sites``, the commit round's
+    ``(coordinator, participants)`` as :meth:`Simulator.
+    transaction_sites` answered at the commit, one interned tuple per
+    distinct answer. Read per-attempt state before the commit, or
+    through :class:`Simulator` methods.
     """
 
     __slots__ = (
         "index", "status", "timestamp", "attempt", "done", "issued",
         "waiting", "commit_time", "start_time", "exec_done_time",
         "prepared_since", "retained", "lock_sites", "pending_replicas",
-        "eids", "kinds", "preds", "succ", "roots_mask", "all_mask",
-        "lock_node_of", "shared_eids", "write_eids", "cross_mask",
-        "home_sid",
+        "eids", "kinds", "codes", "preds", "succ", "roots_mask",
+        "all_mask", "lock_node_of", "shared_eids", "write_eids",
+        "cross_mask", "home_sid", "commit_sites",
     )
 
     def __init__(self, index: int):
@@ -322,6 +340,7 @@ class _Instance:
         # compiled transaction data (filled by Simulator._compile)
         self.eids: list[int] = []
         self.kinds: list[OpKind] = []
+        self.codes: list[int] = []  # per-node access codes (_CODE_*)
         self.preds: list[int] = []
         self.succ: list[int] = []
         self.roots_mask = 0
@@ -333,6 +352,8 @@ class _Instance:
         # The client's home site: primary sid of the first entity —
         # the source endpoint of client-originated network messages.
         self.home_sid = 0
+        # (coordinator, participants) of the commit round, set at shed
+        self.commit_sites: tuple[str, tuple[str, ...]] | None = None
 
 
 class Simulator:
@@ -343,10 +364,13 @@ class Simulator:
         policy: contention policy, or its registered name.
         config: run configuration (defaults throughout when None).
         stream: the :class:`~repro.sim.arrivals.ArrivalStream` an open
-            run injects from. None (the default) builds the run's own;
-            runs whose system and config derive the same key (the
+            run injects from. None (the default) builds the run's own,
+            private stream: the run keeps no arrival it has committed,
+            and ``sim.system`` regenerates one on request after the
+            run. Runs whose system and config derive the same key (the
             cells of one sweep replicate) may pass one shared stream,
-            which then generates each arrival once for all of them.
+            which then generates each arrival once for all of them and
+            keeps it.
 
     Raises:
         ValueError: if ``stream`` was built for a run with another key,
@@ -373,6 +397,9 @@ class Simulator:
         # count() and the lifecycle points call it with (kind, args).
         self._probe = None
         self.arrivals: ArrivalProcess | None = None
+        # Called with each instance that sheds (OpenSystem.forget: a
+        # private stream's run drops the committed arrival).
+        self._forget = None
         if self.config.arrival_rate > 0:
             # Open system: wrap the (possibly empty) closed batch in a
             # growable view over the merged batch + arrival schema.
@@ -380,9 +407,14 @@ class Simulator:
             self.system = OpenSystem(
                 system.transactions,
                 system.schema.merged_with(self.arrivals.schema),
+                self.arrivals.stream if self.arrivals.private else None,
             )
+            self._forget = self.system.forget
         elif stream is not None:
             raise ValueError("a closed run (arrival_rate 0) has no arrivals")
+        # Interned commit-round answers: (coordinator sid, participant
+        # sid mask) -> (coordinator, participants), see _round_sites.
+        self._rounds: dict[tuple[int, int], tuple[str, tuple[str, ...]]] = {}
         # Intern the schema: dense ids in sorted name order, so id
         # order reproduces every historically sorted iteration (site
         # release order in _abort, retained-lock order, participant
@@ -418,15 +450,16 @@ class Simulator:
         self._events_processed = 0
         self._inflight = 0
         self._retained_total = 0
-        # Three flat ints per completed operation — txn, node, attempt
-        # — appended in dispatch order, which IS (time, seq) order, so
-        # the entries need carry neither, and no tuple per operation.
-        # The bound append is cached: three calls per simulated
-        # operation. The trace holds only the pending steps, from the
-        # oldest undecided one on: each commit and abort settles its
-        # head (_settle_trace), dropping the steps of aborted attempts
-        # and moving a committed transaction's to ``_final_log``, two
-        # unsigned 32-bit ints (txn, node) per step in trace order.
+        # Four flat ints per completed operation — txn, node, attempt,
+        # access code — appended in dispatch order, which IS (time,
+        # seq) order, so the entries need carry neither, and no tuple
+        # per operation. The bound append is cached: four calls per
+        # simulated operation. The trace holds only the pending steps,
+        # from the oldest undecided one on: each commit and abort
+        # settles its head (_settle_trace), dropping the steps of
+        # aborted attempts and moving a committed transaction's to
+        # ``_final_log``, three unsigned 32-bit ints (txn, node, code)
+        # per step in trace order.
         self._trace: deque[int] = deque()
         self._trace_append = self._trace.append
         self._final_log = array("I")
@@ -523,14 +556,25 @@ class Simulator:
         one pass over ``t.ops`` and the Dag's masks (no name table)."""
         eid_of = self._entity_ids
         ops = t.ops
-        eids, kinds, lock_node_of = [], [], {}
+        if t.read_set:
+            inst.shared_eids = frozenset(eid_of[e] for e in t.read_set)
+        shared = inst.shared_eids
+        eids, kinds, codes, lock_node_of = [], [], [], {}
         for node, op in enumerate(ops):
-            eids.append(eid_of[op.entity])
-            kinds.append(op.kind)
-            if op.kind is _LOCK:
-                lock_node_of[eids[-1]] = node
+            eid = eid_of[op.entity]
+            kind = op.kind
+            eids.append(eid)
+            kinds.append(kind)
+            code = eid << _CODE_SHIFT | (_CODE_SHARED if eid in shared else 0)
+            if kind is _LOCK:
+                lock_node_of[eid] = node
+                code |= _CODE_LOCK
+            elif kind is _UNLOCK:
+                code |= _CODE_UNLOCK
+            codes.append(code)
         inst.eids = eids
         inst.kinds = kinds
+        inst.codes = codes
         inst.lock_node_of = lock_node_of
         inst.home_sid = self._primary_sid[eids[0]] if eids else 0
         dag = t.dag
@@ -550,9 +594,7 @@ class Simulator:
                 roots |= 1 << node
         inst.roots_mask = roots
         inst.all_mask = (1 << n) - 1
-        if t.read_set:
-            inst.shared_eids = frozenset(eid_of[e] for e in t.read_set)
-        written = lock_node_of.keys() - inst.shared_eids
+        written = lock_node_of.keys() - shared
         inst.write_eids = tuple(sorted(written))
         if self._net_delay > 0:
             primary = self._primary_sid
@@ -656,7 +698,7 @@ class Simulator:
         steps logged, the steps still pending in the trace and the
         aborted attempts' steps it dropped."""
         return (
-            len(self._final_log) // 2 + len(self._trace) // 3
+            len(self._final_log) // 3 + len(self._trace) // 4
             + self._dropped_steps
         )
 
@@ -753,26 +795,41 @@ class Simulator:
         participated in). The participants are every replica site the
         attempt actually locked — under replication that enlists every
         write-replica (and read-quorum) site in the commit round.
+
+        Answered from the instance alone: a recovered participant may
+        ask after the commit, when the instance has shed its compiled
+        ids and ``lock_sites`` and kept the answer instead
+        (``commit_sites``), and a private stream's run has forgotten
+        the transaction itself.
         """
         inst = self._instances[txn]
-        # From the transaction, not the instance: a recovered
-        # participant asks after a commit, when the instance has shed
-        # its compiled ids.
-        first_eid = self._entity_ids[self.system[txn].ops[0].entity]
-        lock_sids = inst.lock_sites.get(first_eid)
-        coordinator_sid = (
-            lock_sids[0] if lock_sids else self._primary_sid[first_eid]
+        coordinator, participants = (
+            inst.commit_sites or self._round_sites(inst)
         )
-        names = self._site_names
-        participants = [
-            names[sid]
-            for sid in sorted({
-                sid
-                for sids in inst.lock_sites.values()
-                for sid in sids
-            })
-        ]
-        return names[coordinator_sid], participants
+        return coordinator, list(participants)
+
+    def _round_sites(self, inst: _Instance) -> tuple[str, tuple[str, ...]]:
+        """The live attempt's ``(coordinator, participants)``, interned:
+        equal answers share one tuple."""
+        lock_sites = inst.lock_sites
+        first_eid = inst.eids[0]
+        first = lock_sites.get(first_eid)
+        coordinator = first[0] if first else self._primary_sid[first_eid]
+        mask = 0
+        for sids in lock_sites.values():
+            for sid in sids:
+                mask |= 1 << sid
+        key = (coordinator, mask)
+        answer = self._rounds.get(key)
+        if answer is None:
+            names = self._site_names
+            answer = self._rounds[key] = (
+                names[coordinator],
+                tuple(
+                    name for sid, name in enumerate(names) if mask >> sid & 1
+                ),
+            )
+        return answer
 
     def acceptor_sites(self, coordinator: str, count: int) -> tuple[str, ...]:
         """``count`` acceptor sites, drawn deterministically from the
@@ -883,14 +940,19 @@ class Simulator:
 
     def _shed(self, inst: _Instance) -> None:
         """Drop a committed transaction's per-attempt state once it
-        retains no lock (see :class:`_Instance`); a no-op otherwise."""
+        retains no lock (see :class:`_Instance`), and with a private
+        stream the arrival itself; a no-op otherwise."""
         if inst.status != _COMMITTED or inst.retained:
             return
+        if inst.commit_sites is None:  # the first shedding
+            inst.commit_sites = self._round_sites(inst)
         inst.waiting = inst.pending_replicas = _NO_ENTRIES
-        inst.lock_node_of = _NO_ENTRIES
+        inst.lock_node_of = inst.lock_sites = _NO_ENTRIES
         inst.retained = _NO_LOCKS
-        inst.eids = inst.kinds = inst.write_eids = ()
+        inst.eids = inst.kinds = inst.codes = inst.write_eids = ()
         inst.preds = inst.succ = ()
+        if self._forget is not None:
+            self._forget(inst.index)
 
     def _settle_trace(self) -> None:
         """Advance the trace's head past its decided steps.
@@ -911,13 +973,16 @@ class Simulator:
             if trace[2] == inst.attempt:
                 if inst.status != _COMMITTED:
                     break
-                log_append(popleft())
-                log_append(popleft())
+                log_append(popleft())  # txn
+                log_append(popleft())  # node
+                popleft()  # attempt
+                log_append(popleft())  # code
             else:
                 dropped += 1
                 popleft()
                 popleft()
-            popleft()
+                popleft()
+                popleft()
         self._dropped_steps += dropped
 
     def crash_site(self, site_name: str) -> None:
@@ -1458,14 +1523,20 @@ class Simulator:
         inst = self._instances[txn]
         if inst.status != _RUNNING or inst.attempt != attempt:
             return  # stale event from an aborted attempt
-        done = inst.done | 1 << node
+        before = inst.done
+        done = before | 1 << node
+        preds = inst.preds
+        if done == before or preds[node] & ~before:
+            self._illegal_step(inst, node)
         inst.done = done
+        code = inst.codes[node]
         trace_append = self._trace_append
         trace_append(txn)
         trace_append(node)
         trace_append(attempt)
-        if inst.kinds[node] is _UNLOCK:
-            eid = inst.eids[node]
+        trace_append(code)
+        if code & _CODE_UNLOCK:
+            eid = code >> _CODE_SHIFT
             lock_sites = inst.lock_sites[eid]
             if self._retains_locks:
                 # Strict release-at-commit: the Unlock ends the lock's
@@ -1503,7 +1574,6 @@ class Simulator:
         if not pending:
             return
         not_done = ~done
-        preds = inst.preds
         kinds = inst.kinds
         net_delay = self._net_delay
         cross = inst.cross_mask
@@ -1578,14 +1648,24 @@ class Simulator:
                     if task is not None:
                         yield task
             inst.waiting.clear()
-        for sid, site in enumerate(self._site_list):
-            released = site.release_all(txn)
-            if released:
-                for eid, granted in released:
-                    for grantee in granted:
-                        task = self._grant_step(grantee, eid, sid)
-                        if task is not None:
-                            yield task
+        # Only the sites this attempt locked at can hold it: every lock
+        # is requested through _request_lock, which records its sites
+        # first, and a retained lock is one of them. Ascending sid
+        # order, as before the others were skipped: grant cascades
+        # depend on it.
+        lock_sites = inst.lock_sites
+        if lock_sites:
+            site_list = self._site_list
+            for sid in sorted({
+                sid for sids in lock_sites.values() for sid in sids
+            }):
+                released = site_list[sid].release_all(txn)
+                if released:
+                    for eid, granted in released:
+                        for grantee in granted:
+                            task = self._grant_step(grantee, eid, sid)
+                            if task is not None:
+                                yield task
         inst.done = 0
         inst.issued = 0
         if inst.retained:
@@ -1812,9 +1892,10 @@ class Simulator:
         self.result.end_time = self._now
         self.replicas.finalize()
         if self.arrivals is not None:
-            # The run is over; materialize the accumulated transactions
-            # as a real (indexed) TransactionSystem, so ``sim.system``
-            # answers the static theory's queries after an open run.
+            # The run is over; freeze the accumulated transactions as a
+            # real (indexed) TransactionSystem, so ``sim.system``
+            # answers the static theory's queries after an open run
+            # (regenerating, on request, each arrival it forgot).
             self.system = self.system.frozen()
         if self.result.committed < len(self.system):
             if not self._queue and not self.result.truncated:
@@ -1859,27 +1940,52 @@ class Simulator:
     # serializability verdict
     # ------------------------------------------------------------------
 
-    def _final_steps(
+    def _illegal_step(self, inst: _Instance, node: int) -> None:
+        """Raise for a step that repeats or runs before a predecessor
+        (a runtime bug), named as ``describe_node`` names it."""
+        code = inst.codes[node]
+        entity = self._entity_names[code >> _CODE_SHIFT]
+        txn = inst.index + 1
+        label = (
+            f"L{txn}{entity}" if code & _CODE_LOCK
+            else f"U{txn}{entity}" if code & _CODE_UNLOCK
+            else f"A{txn}.{entity}"
+        )
+        if inst.done >> node & 1:
+            raise RuntimeError(f"the trace repeats {label}")
+        raise RuntimeError(f"the trace runs {label} before a predecessor")
+
+    def _final_records(
         self, committed_only: bool
-    ) -> Iterator[tuple[int, int]]:
-        # The final attempts' steps in dispatch order, which is already
-        # (time, seq) order: the logged committed steps, which precede
-        # every pending one, then the pending steps of each
-        # transaction's live attempt (of committed transactions only
-        # when ``committed_only``). Steps are yielded, not listed, so
-        # the end-of-run verdict holds no tuple per step.
+    ) -> Iterator[tuple[int, int, int]]:
+        # The final attempts' (txn, node, code) steps in dispatch order,
+        # which is already (time, seq) order: the logged committed
+        # steps, which precede every pending one, then the pending
+        # steps of each transaction's live attempt (of committed
+        # transactions only when ``committed_only``). Steps are
+        # yielded, not listed, so the end-of-run verdict holds no tuple
+        # per step.
         logged = iter(self._final_log)
-        yield from zip(logged, logged)
+        yield from zip(logged, logged, logged)
         instances = self._instances
         entries = iter(self._trace)
-        for txn, node, attempt in zip(entries, entries, entries):
+        for txn, node, attempt, code in zip(
+            entries, entries, entries, entries
+        ):
             inst = instances[txn]
             status = inst.status
             if attempt == inst.attempt and (
                 status == _COMMITTED
                 or not committed_only and status != _ABORTED
             ):
-                yield txn, node
+                yield txn, node, code
+
+    def _final_steps(
+        self, committed_only: bool
+    ) -> Iterator[tuple[int, int]]:
+        """The final attempts' ``(txn, node)`` steps in trace order."""
+        for txn, node, _code in self._final_records(committed_only):
+            yield txn, node
 
     def _check_serializability(self) -> bool:
         """Test Lemma 1's D(S') over the final attempts' history.
@@ -1901,21 +2007,17 @@ class Simulator:
         site failure two attempts can hold one entity through disjoint
         replica sets.
 
-        Each step's operation, read set and predecessor mask are read
-        from the transaction itself (``self.system``), not from its
-        instance, which sheds its compiled data at commit.
-
-        Raises:
-            RuntimeError: if a step repeats or runs before one of its
-                predecessors (a runtime bug).
+        The pass reads each step's access code from the final-step log
+        and the pending trace, never ``self.system``: a private
+        stream's run has forgotten its committed arrivals. Lemma 1's
+        arcs need only the unfinished transactions, whose live
+        instances keep their codes, and their final attempt's steps are
+        the instance's ``done`` mask. Whether each step was legal (not
+        a repeat, every predecessor done) was checked as it executed,
+        by :meth:`_on_op_done`.
         """
-        system = self.system
-        ops = [t.ops for t in system]
-        preds = [t.dag.predecessor_masks() for t in system]
-        read_sets = [t.read_set for t in system]
-        eid_of = self._entity_ids
+        instances = self._instances
         n_entities = len(self._entity_names)
-        masks = [0] * len(ops)
         last_writer = [-1] * n_entities
         readers: list[list[int]] = [[] for _ in range(n_entities)]
         writers_in = [0] * n_entities
@@ -1923,7 +2025,7 @@ class Simulator:
         edges: dict[int, list[int]] = {}
         legal = True
 
-        def follow(txn: int, eid: int, shared: bool) -> None:
+        def follow(txn: int, eid: int, shared: int) -> None:
             # Arcs into ``txn`` from the accessors of ``eid`` so far
             # that its access conflicts with.
             if shared or not readers[eid]:
@@ -1933,21 +2035,10 @@ class Simulator:
                 for reader in readers[eid]:
                     edges.setdefault(reader, []).append(txn)
 
-        for txn, node in self._final_steps(False):
-            mask = masks[txn]
-            if mask >> node & 1 or preds[txn][node] & ~mask:
-                label = system.describe_node(GlobalNode(txn, node))
-                raise RuntimeError(
-                    f"the trace repeats {label}" if mask >> node & 1
-                    else f"the trace runs {label} before a predecessor"
-                )
-            masks[txn] = mask | 1 << node
-            op = ops[txn][node]
-            kind = op.kind
-            if kind is _LOCK:
-                entity = op.entity
-                eid = eid_of[entity]
-                shared = entity in read_sets[txn]
+        for txn, _node, code in self._final_records(False):
+            if code & _CODE_LOCK:
+                eid = code >> _CODE_SHIFT
+                shared = code & _CODE_SHARED
                 if writers_in[eid] or not shared and readers_in[eid]:
                     legal = False
                 follow(txn, eid, shared)
@@ -1958,23 +2049,22 @@ class Simulator:
                     writers_in[eid] += 1
                     last_writer[eid] = txn
                     readers[eid] = []
-            elif kind is _UNLOCK:
-                entity = op.entity
-                if entity in read_sets[txn]:
-                    readers_in[eid_of[entity]] -= 1
+            elif code & _CODE_UNLOCK:
+                if code & _CODE_SHARED:
+                    readers_in[code >> _CODE_SHIFT] -= 1
                 else:
-                    writers_in[eid_of[entity]] -= 1
-        for txn, t_ops in enumerate(ops):
-            mask = masks[txn]
-            if mask != (1 << len(t_ops)) - 1:
+                    writers_in[code >> _CODE_SHIFT] -= 1
+        for inst in instances:
+            done = inst.done
+            if done != inst.all_mask:
                 # Lemma 1's arcs into a transaction that has not locked
                 # everything it accesses, in node order.
-                for node, op in enumerate(t_ops):
-                    if op.kind is _LOCK and not mask >> node & 1:
-                        follow(txn, eid_of[op.entity],
-                               op.entity in read_sets[txn])
+                for node, code in enumerate(inst.codes):
+                    if code & _CODE_LOCK and not done >> node & 1:
+                        follow(inst.index, code >> _CODE_SHIFT,
+                               code & _CODE_SHARED)
         return legal and find_cycle_ints(
-            list(edges), lambda u: edges.get(u, ()), len(ops)
+            list(edges), lambda u: edges.get(u, ()), len(instances)
         ) is None
 
     def committed_schedule(self) -> Schedule:

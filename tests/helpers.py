@@ -91,9 +91,10 @@ def log_replay_state(log) -> tuple[set, dict]:
 def record_trace(sim) -> list[int]:
     """Record every step ``sim`` executes through its trace-append seam.
 
-    Returns the list the wrapper extends with each step's three flat
-    ints (txn, node, attempt), in dispatch order, aborted attempts
-    included: the whole history the runtime's trace no longer keeps.
+    Returns the list the wrapper extends with each step's four flat
+    ints (txn, node, attempt, access code), in dispatch order, aborted
+    attempts included: the whole history the runtime's trace no longer
+    keeps.
     """
     recorded: list[int] = []
     append = sim._trace_append
@@ -106,13 +107,31 @@ def record_trace(sim) -> list[int]:
     return recorded
 
 
+def access_code(sim, txn: int, node: int) -> int:
+    """The access code the runtime records with step ``(txn, node)``,
+    recomputed from the transaction: entity id << 3, plus 1 for a
+    Lock, 2 for an Unlock and 4 for an entity it only reads."""
+    t = sim.system[txn]
+    op = t.ops[node]
+    code = sim.entity_id(op.entity) << 3
+    if op.entity in t.read_set:
+        code |= 4
+    if op.kind is OpKind.LOCK:
+        code |= 1
+    elif op.kind is OpKind.UNLOCK:
+        code |= 2
+    return code
+
+
 def final_attempt_steps(sim, recorded: list[int]) -> list[tuple[int, int]]:
     """The ``(txn, node)`` steps of :func:`record_trace`'s history that
     belong to each transaction's final attempt, in dispatch order."""
     entries = iter(recorded)
     return [
         (txn, node)
-        for txn, node, attempt in zip(entries, entries, entries)
+        for txn, node, attempt, _code in zip(
+            entries, entries, entries, entries
+        )
         if attempt == sim.instance(txn).attempt
         and sim.instance(txn).status != _ABORTED
     ]

@@ -56,9 +56,11 @@ class TestWiring:
 class TestCrashSemantics:
     def test_crash_aborts_running_holder(self):
         sim = Simulator(cross_pair(), "wound-wait", failure_config())
-        x = sim.entity_id("x")
+        x, s1 = sim.entity_id("x"), sim.site_id("s1")
         site = sim._site_for_entity("x")
         site.request(0, x)
+        # As _request_lock does, the request's sites are recorded.
+        sim.instance(0).lock_sites[x] = (s1,)
         assert sim.instance(0).status == _RUNNING
         sim.crash_site("s1")
         assert sim.instance(0).status == _ABORTED
@@ -71,6 +73,8 @@ class TestCrashSemantics:
         site = sim._site_for_entity("x")
         site.request(0, x)
         site.request(1, x)
+        # As _request_lock does, the requests' sites are recorded.
+        sim.instance(0).lock_sites[x] = sim.instance(1).lock_sites[x] = (s1,)
         sim.instance(1).waiting[(x, s1)] = 0.0
         sim.crash_site("s1")
         assert sim.instance(0).status == _ABORTED

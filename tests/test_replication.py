@@ -185,28 +185,44 @@ def seq_ops(entity):
     return [Operation.lock(entity), Operation.unlock(entity)]
 
 
+def lock_sites_at_commit(sim) -> dict[int, dict[int, tuple[int, ...]]]:
+    """Record each transaction's ``lock_sites`` as its commit finds them
+    (a committed instance sheds them); fills as ``sim`` runs."""
+    at_commit = {}
+    finish_commit = sim.finish_commit
+
+    def recording(inst):
+        at_commit[inst.index] = dict(inst.lock_sites)
+        finish_commit(inst)
+
+    sim.finish_commit = recording
+    return at_commit
+
+
 class TestRuntimeIntegration:
     def test_write_locks_every_replica(self):
         sim = _replicated_sim(factor=3)
+        lock_sites = lock_sites_at_commit(sim)
         result = sim.run()
         assert result.committed == 1
-        inst = sim.instance(0)
         x = sim.entity_id("x")
-        locked = tuple(sim.site_name(s) for s in inst.lock_sites[x])
+        locked = tuple(sim.site_name(s) for s in lock_sites[0][x])
         assert locked == sim.replicas.schema.replicas_of("x")
-        assert len(inst.lock_sites[x]) == 3
+        assert len(lock_sites[0][x]) == 3
 
     def test_read_locks_one_replica_under_rowa(self):
         sim = _replicated_sim(factor=3, read_entities=("x",))
+        lock_sites = lock_sites_at_commit(sim)
         result = sim.run()
         assert result.committed == 1
-        assert len(sim.instance(0).lock_sites[sim.entity_id("x")]) == 1
+        assert len(lock_sites[0][sim.entity_id("x")]) == 1
 
     def test_quorum_read_locks_majority(self):
         sim = _replicated_sim("quorum", factor=3, read_entities=("x",))
+        lock_sites = lock_sites_at_commit(sim)
         result = sim.run()
         assert result.committed == 1
-        assert len(sim.instance(0).lock_sites[sim.entity_id("x")]) == 2
+        assert len(lock_sites[0][sim.entity_id("x")]) == 2
 
     def test_commit_participants_include_write_replicas(self):
         sim = _replicated_sim(factor=3)
@@ -385,10 +401,11 @@ class TestFailureInteraction:
         for protocol in ("rowa-available", "quorum"):
             sim = self._sim(protocol)
             self._crash(sim, "s0")  # the primary of x
+            lock_sites = lock_sites_at_commit(sim)
             result = sim.run()
             assert result.committed == 1, protocol
             assert result.crash_aborts == 0, protocol
-            locked = sim.instance(0).lock_sites[sim.entity_id("x")]
+            locked = lock_sites[0][sim.entity_id("x")]
             assert sim.site_id("s0") not in locked
             # The commit round is coordinated by a site the attempt
             # actually locked — never the crashed primary.

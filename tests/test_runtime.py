@@ -21,7 +21,7 @@ from repro.core.system import TransactionSystem
 from repro.core.transaction import Transaction
 from repro.sim.workload import WorkloadSpec, random_system
 
-from tests.helpers import record_trace, seq
+from tests.helpers import access_code, record_trace, seq
 
 
 def deadlock_pair() -> TransactionSystem:
@@ -258,33 +258,37 @@ class TestFastPathSurface:
 
     def test_trace_entries_are_bare_and_replayable(self):
         # The trace is appended in dispatch order — which *is*
-        # (time, seq) order — so an entry carries only txn, node and
-        # attempt, as three flat ints with no tuple per operation, and
-        # the committed replay is a legal Schedule without any
-        # re-sorting. Once the run is complete every step is decided:
-        # the trace is empty and the final steps sit in the packed log.
+        # (time, seq) order — so an entry carries only txn, node,
+        # attempt and the step's access code, as four flat ints with no
+        # tuple per operation, and the committed replay is a legal
+        # Schedule without any re-sorting. Once the run is complete
+        # every step is decided: the trace is empty and the final steps
+        # sit in the packed log as (txn, node, code).
         sim = Simulator(deadlock_pair(), "wound-wait")
         recorded = record_trace(sim)
         result = sim.run()
         assert result.aborts > 0
-        assert recorded and len(recorded) % 3 == 0
+        assert recorded and len(recorded) % 4 == 0
         assert all(type(value) is int for value in recorded)
-        entries = list(zip(recorded[0::3], recorded[1::3], recorded[2::3]))
+        entries = list(zip(*(recorded[k::4] for k in range(4))))
         system = sim.system
         assert all(
             0 <= txn < len(system) and 0 <= node < system[txn].node_count
-            for txn, node, _attempt in entries
+            and code == access_code(sim, txn, node)
+            for txn, node, _attempt, code in entries
         )
         final = [
-            (txn, node)
-            for txn, node, attempt in entries
+            (txn, node, code)
+            for txn, node, attempt, code in entries
             if attempt == sim._instances[txn].attempt
         ]
+        log = sim._final_log
         assert len(sim._trace) == 0
-        assert isinstance(sim._final_log, array)
-        assert sim._final_log.typecode == "I"
-        assert list(zip(sim._final_log[0::2], sim._final_log[1::2])) == final
+        assert isinstance(log, array)
+        assert log.typecode == "I"
+        assert list(zip(log[0::3], log[1::3], log[2::3])) == final
         assert sim.executed_steps == len(entries)
+        final = [(txn, node) for txn, node, _code in final]
         # replays without IllegalScheduleError, in trace order
         schedule = sim.committed_schedule()
         assert schedule.is_complete()
@@ -310,44 +314,65 @@ class TestTraceReplay:
             assert schedule.is_complete()
 
 
+def kept_by_an_open_run(arrivals: int) -> tuple[int, int]:
+    """Bytes that tracemalloc frees with a finished open run's
+    Simulator (the run builds its own arrival stream; its result stays
+    alive, so the result's lists do not count), and the operations the
+    run executed (by any attempt)."""
+    spec = WorkloadSpec(
+        n_transactions=50, n_entities=64, n_sites=8,
+        entities_per_txn=(3, 5), actions_per_entity=(1, 3),
+        hotspot_skew=0.4,
+    )
+    config = SimulationConfig(
+        arrival_rate=0.3, max_transactions=arrivals, arrival_spread=50.0,
+        workload=spec, seed=0, workload_seed=0, max_time=400_000.0,
+    )
+    batch = random_system(random.Random(0), spec)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sim = Simulator(batch, "wound-wait", config)
+        result = sim.run()
+        ops = sim.executed_steps
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+        del sim
+        gc.collect()
+        kept = live - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.injected == arrivals
+    assert result.committed == result.total and not result.truncated
+    return kept, ops
+
+
 class TestWhatARunKeeps:
-    # Bytes that tracemalloc attributes to a finished open-run
-    # Simulator, per operation it executed (by any attempt): about 136
-    # (3.11) once a committed transaction sheds its execution state,
-    # its steps move to the packed final-step log and the generated
-    # arcs are packed; about 231 while every instance kept its
-    # containers and compiled data and the trace every attempt's
-    # steps; about 460 when each operation and each arc was a tuple
-    # and each transaction had empty frozensets of its own.
-    KEPT_BYTES_PER_OP = 180
+    # Bytes per operation executed (by any attempt): about 44 (3.11)
+    # once the run forgets each committed arrival, its instance sheds
+    # lock_sites too and each logged step carries its access code;
+    # about 136 while the run kept every arrival; about 231 while
+    # every instance kept its containers and compiled data and the
+    # trace every attempt's steps; about 460 when each operation and
+    # each arc was a tuple and each transaction had empty frozensets of
+    # its own.
+    KEPT_BYTES_PER_OP = 60
+    # Bytes per arrival beyond the first 500, between runs of 500 and
+    # 1,500 arrivals: about 660 now, what is left of each arrival being
+    # its shed _Instance and its final steps in the log; about 2,490
+    # while the run kept every arrival, its instance's lock_sites and
+    # two ints per logged step.
+    KEPT_BYTES_PER_ARRIVAL = 1000
 
     def test_open_run_keeps_its_history_flat(self):
-        spec = WorkloadSpec(
-            n_transactions=50, n_entities=64, n_sites=8,
-            entities_per_txn=(3, 5), actions_per_entity=(1, 3),
-            hotspot_skew=0.4,
-        )
-        config = SimulationConfig(
-            arrival_rate=0.3, max_transactions=1000, arrival_spread=50.0,
-            workload=spec, seed=0, workload_seed=0, max_time=400_000.0,
-        )
-        batch = random_system(random.Random(0), spec)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            sim = Simulator(batch, "wound-wait", config)
-            result = sim.run()
-            ops = sim.executed_steps
-            gc.collect()
-            live = tracemalloc.get_traced_memory()[0]
-            del sim
-            gc.collect()
-            kept = live - tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert result.injected == 1000
-        assert result.committed == result.total and not result.truncated
+        kept, ops = kept_by_an_open_run(1000)
         assert kept / ops < self.KEPT_BYTES_PER_OP, (kept, ops)
+
+    def test_what_a_run_keeps_does_not_grow_with_its_arrivals(self):
+        fewer, _ops = kept_by_an_open_run(500)
+        more, _ops = kept_by_an_open_run(1500)
+        per_arrival = (more - fewer) / 1000
+        assert per_arrival <= self.KEPT_BYTES_PER_ARRIVAL, per_arrival
 
 
 class TestOneCompiledForm:
@@ -462,6 +487,8 @@ class TestReevaluateWaiters:
         site.request(2, x)
         site.request(1, x)  # FIFO: the young transaction is first
         site.request(0, x)
+        # As _request_lock does, the sites of each request are recorded.
+        young.lock_sites[x] = old.lock_sites[x] = (s1,)
         young.waiting[(x, s1)] = 0.0
         old.waiting[(x, s1)] = 0.0
         granted = site.release(2, x)
@@ -493,6 +520,76 @@ class TestReevaluateWaiters:
         assert young.status == _ABORTED
         assert sim.result.deaths == 1
         assert site.holder(x) == 0
+
+
+class TestAbortVisitsOnlyLockedSites:
+    """An abort calls ``release_all`` only at the sites its attempt
+    locked at (``lock_sites``), in ascending id order; every other site
+    neither holds nor queues the victim."""
+
+    @pytest.mark.parametrize(
+        "replica, protocol",
+        [
+            ("quorum", "paxos-commit"),
+            ("rowa-available", "two-phase"),
+            ("rowa", "instant"),
+        ],
+    )
+    def test_no_skipped_site_holds_or_queues_the_victim(
+        self, monkeypatch, replica, protocol
+    ):
+        from repro.sim.durability import DurabilityConfig
+        from repro.sim.locks import SiteLockManager
+
+        spec = WorkloadSpec(
+            n_transactions=10, n_entities=8, n_sites=4,
+            entities_per_txn=(2, 3), actions_per_entity=(0, 1),
+            hotspot_skew=0.6, read_fraction=0.3, replication_factor=3,
+        )
+        sim = Simulator(
+            random_system(random.Random(9), spec), "wound-wait",
+            SimulationConfig(
+                seed=9, workload=spec, commit_protocol=protocol,
+                replica_protocol=replica, network_delay=0.5,
+                failure_rate=0.03, repair_time=5.0, arrival_rate=0.4,
+                max_transactions=60,
+                durability=DurabilityConfig(
+                    flush_time=0.5, tail_loss_rate=0.3,
+                ),
+            ),
+        )
+        sites = list(sim.lock_tables().values())
+        visits: dict[int, list[int]] = {}
+        release_all = SiteLockManager.release_all
+
+        def visiting(site, txn):
+            if sim.instance(txn).status == _ABORTED:  # inside its abort
+                visits.setdefault(txn, []).append(sim.site_id(site.site))
+            return release_all(site, txn)
+
+        monkeypatch.setattr(SiteLockManager, "release_all", visiting)
+        schedule = sim.schedule
+        checked = []
+
+        def on_schedule(delay, payload):
+            if payload[0] == "restart":
+                # _abort_task schedules the restart last: the victim's
+                # releases are over.
+                txn = payload[1]
+                visited = visits.pop(txn, [])
+                assert visited == sorted(set(visited)), visited
+                assert all(txn not in site.involved() for site in sites)
+                checked.append(len(visited))
+            schedule(delay, payload)
+
+        sim.schedule = on_schedule
+        result = sim.run()
+        assert result.committed == result.total
+        assert result.crash_aborts
+        assert result.log_replays or protocol == "instant"
+        assert len(checked) == result.aborts > 0
+        # Sites were skipped: not every abort visits them all.
+        assert sum(checked) < len(checked) * len(sites)
 
 
 class TestFindDeadlockingSeed:

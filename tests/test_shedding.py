@@ -1,14 +1,15 @@
 """What a run keeps of a committed transaction, and of its history.
 
 Once a transaction commits and retains no lock, its ``_Instance``
-sheds its per-attempt containers and compiled data
-(``Simulator._shed``); recovery replay that re-acquires one of its
-locks goes through ``Simulator.retain`` and the instance sheds again
-once the lock is released. The run's trace keeps only the steps from
-the oldest undecided one on: an aborted attempt's steps are dropped
-and a committed transaction's move to the packed final-step log, so
-``_final_steps`` reads exactly the final attempts' steps it read when
-the trace kept every step.
+sheds its per-attempt containers and compiled data, keeping the
+commit round's sites as one interned answer (``Simulator._shed``);
+recovery replay that re-acquires one of its locks goes through
+``Simulator.retain`` and the instance sheds again once the lock is
+released. The run's trace keeps only the steps from the oldest
+undecided one on, each with its access code: an aborted attempt's
+steps are dropped and a committed transaction's move to the packed
+final-step log, so ``_final_steps`` reads exactly the final attempts'
+steps it read when the trace kept every step.
 """
 
 import random
@@ -21,7 +22,12 @@ from repro.core.system import TransactionSystem
 from repro.sim.durability import DurabilityConfig
 from repro.sim.runtime import _COMMITTED, SimulationConfig, Simulator
 from repro.sim.workload import WorkloadSpec, random_system
-from tests.helpers import final_attempt_steps, record_trace, seq
+from tests.helpers import (
+    access_code,
+    final_attempt_steps,
+    record_trace,
+    seq,
+)
 
 SPEC = WorkloadSpec(
     n_transactions=8,
@@ -98,7 +104,9 @@ RUNS = {
 }
 
 
-SHED_CONTAINERS = ("waiting", "pending_replicas", "retained", "lock_node_of")
+SHED_CONTAINERS = (
+    "waiting", "pending_replicas", "retained", "lock_node_of", "lock_sites",
+)
 
 
 def _assert_shed(inst) -> None:
@@ -108,7 +116,8 @@ def _assert_shed(inst) -> None:
         assert type(value) in (MappingProxyType, frozenset), name
         assert not value, name
     assert inst.eids == () and inst.kinds == () and inst.write_eids == ()
-    assert inst.preds == () and inst.succ == ()
+    assert inst.codes == () and inst.preds == () and inst.succ == ()
+    assert inst.commit_sites is not None
 
 
 class TestCommittedInstancesShed:
@@ -119,9 +128,7 @@ class TestCommittedInstancesShed:
         finish_commit = sim.finish_commit
 
         def recording(inst):
-            at_commit[inst.index] = (
-                dict(inst.lock_sites), sim.transaction_sites(inst.index)
-            )
+            at_commit[inst.index] = sim.transaction_sites(inst.index)
             finish_commit(inst)
 
         sim.finish_commit = recording
@@ -132,12 +139,13 @@ class TestCommittedInstancesShed:
             assert inst.status == _COMMITTED
             _assert_shed(inst)
             # What stays answers as it did at the commit.
-            lock_sites, sites = at_commit[inst.index]
-            assert inst.lock_sites == lock_sites
-            assert sim.transaction_sites(inst.index) == sites
+            assert sim.transaction_sites(inst.index) == at_commit[inst.index]
         for name in SHED_CONTAINERS:
             # One shared empty value each, not one per transaction.
             assert len({id(getattr(i, name)) for i in sim._instances}) == 1
+        # One interned answer per distinct commit round.
+        answers = [inst.commit_sites for inst in sim._instances]
+        assert len({id(answer) for answer in answers}) == len(set(answers))
         # Every step is decided: the trace holds none.
         assert len(sim._trace) == 0
         # Existing callers compare the shared empties with fresh ones.
@@ -277,23 +285,29 @@ class TestTraceKeepsOnlyUndecidedSteps:
                 if sim.instance(txn).status == _COMMITTED
             ]
             assert list(sim._final_steps(True)) == committed, label
-            assert sim.executed_steps == len(recorded) // 3, label
+            assert sim.executed_steps == len(recorded) // 4, label
 
+            # Each step carries its op's access code.
+            entries = list(zip(*(recorded[k::4] for k in range(4))))
+            assert all(
+                code == access_code(sim, txn, node)
+                for txn, node, _attempt, code in entries
+            ), label
             # The trace holds the recorded steps from the oldest
-            # undecided one on; the log, the committed steps before it.
-            entries = list(zip(recorded[::3], recorded[1::3], recorded[2::3]))
+            # undecided one on; the log, the committed steps before it,
+            # as (txn, node, code).
             head = next(
                 (
-                    k for k, (txn, _node, attempt) in enumerate(entries)
+                    k for k, (txn, _node, attempt, _code) in enumerate(entries)
                     if attempt == sim.instance(txn).attempt
                     and sim.instance(txn).status != _COMMITTED
                 ),
                 len(entries),
             )
-            assert list(sim._trace) == recorded[3 * head:], label
+            assert list(sim._trace) == recorded[4 * head:], label
             log = sim._final_log
-            assert list(zip(log[::2], log[1::2])) == [
-                (txn, node) for txn, node, attempt in entries[:head]
+            assert list(zip(log[::3], log[1::3], log[2::3])) == [
+                (txn, node, code) for txn, node, attempt, code in entries[:head]
                 if attempt == sim.instance(txn).attempt
             ], label
             if result.committed == result.total:

@@ -166,20 +166,26 @@ class TestOneVerdict:
 
     @pytest.mark.parametrize("fault", ["repeat", "reorder"])
     def test_an_illegal_trace_raises(self, fault):
-        # Either corruption means the runtime broke its own order, not
-        # that the history is not serializable.
-        # A complete run's final steps are all in the packed log, two
-        # ints (txn, node) per step; the verdict reads them from there.
+        # Either fault means the runtime broke its own order, not that
+        # the history is not serializable, and the step that breaks it
+        # raises as it executes: a duplicated op_done event repeats
+        # L1x, and one that completes U1x ahead of L1x runs it before
+        # its predecessor.
         sim = Simulator(pair_system(["Lx", "Ux"], ["Ly", "Uy"]))
-        assert sim.run().serializable is True
-        assert len(sim._trace) == 0
-        log = sim._final_log
-        lock, unlock = (i for i in range(0, len(log), 2) if log[i] == 0)
-        if fault == "repeat":
-            log.extend(log[lock:lock + 2])
-            message = "repeats L1x"
-        else:
-            log[lock + 1], log[unlock + 1] = log[unlock + 1], log[lock + 1]
-            message = "runs U1x before a predecessor"
+        schedule = sim.schedule
+
+        def faulty(delay, payload):
+            if payload[:3] == ("op_done", 0, 0):  # L1x completes
+                if fault == "repeat":
+                    schedule(delay, payload)
+                else:
+                    schedule(delay, ("op_done", 0, 1, payload[3]))
+            schedule(delay, payload)
+
+        sim.schedule = faulty
+        message = (
+            "repeats L1x" if fault == "repeat"
+            else "runs U1x before a predecessor"
+        )
         with pytest.raises(RuntimeError, match=message):
-            sim._check_serializability()
+            sim.run()
