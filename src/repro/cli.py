@@ -472,8 +472,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     grid = len(args.policies) * len(args.commit) > 1
     results = []
     # Runs that differ only in policy or protocol inject the same
-    # arrivals: run i of every cell reads stream i, so each seed's
-    # traffic is generated once for the whole grid.
+    # arrivals: run i of every grid cell reads stream i, so each seed's
+    # traffic is generated once for the whole grid. A lone cell's run
+    # has no other reader and builds its own stream, keeping none.
     streams = [None] * args.runs
     for policy in args.policies:
         for protocol in args.commit:
@@ -499,7 +500,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     )
                 except ValueError as exc:  # a config class's range check
                     return _usage_error("simulate", exc)
-                if open_system:
+                if open_system and grid:
                     streams[run] = ArrivalStream.reuse(
                         streams[run], system, config
                     )

@@ -31,7 +31,7 @@ class TransactionSystem:
         transactions: the member transactions; names must be distinct.
 
     The entity -> accessors index waits for the first query that reads
-    it, so freezing an open run builds no arrival's name-keyed tables.
+    it, so a finished open run's system builds no arrival's tables.
     :meth:`over` builds a system over a member sequence and a merged
     schema that the caller vouches for, checking and copying nothing.
 
@@ -75,10 +75,10 @@ class TransactionSystem:
         distinct names and for ``schema`` covering every member
         consistently, so no per-transaction schema merge runs (the
         open-system runtime passes the run schema it merged at
-        construction, which makes freezing a long run O(1)). Every
-        query reads a member through the sequence, so it may produce
-        one on request (a finished open run regenerates the arrivals
-        it forgot).
+        construction, which makes a long run's system O(1) to build).
+        Every query reads a member through the sequence, so it may
+        produce one on request (a finished open run reads each arrival
+        back from its stream).
         """
         system = cls.__new__(cls)
         system.transactions = members

@@ -24,7 +24,9 @@ coordinator recovery, and abort cascades. An arrival process
 (:mod:`repro.sim.arrivals`, ``arrival_rate > 0``) opens the system:
 fresh transactions keep arriving on a Poisson clock and steady-state
 metrics (throughput, concurrency, latency percentiles) are measured
-past a warm-up window. A replica-control layer
+past a warm-up window. The arrivals' stream is their only store: after
+an open run, ``Simulator.system`` is the closed batch followed by every
+arrival, read back from the stream. A replica-control layer
 (:mod:`repro.sim.replication`, ``WorkloadSpec.replication_factor > 1``)
 maps each logical entity to a replica set of sites and routes reads
 (shared locks) and writes (exclusive locks) through ``rowa``,
@@ -53,7 +55,7 @@ recorder that dumps the recent past on deadlocks, crashes, and abort
 cascades — with no per-event cost when disabled.
 """
 
-from repro.sim.arrivals import ArrivalProcess, ArrivalStream, OpenSystem
+from repro.sim.arrivals import ArrivalProcess, ArrivalStream
 from repro.sim.commit import (
     CommitProtocol,
     InstantCommit,
@@ -123,7 +125,6 @@ __all__ = [
     "MetricsSampler",
     "ObserveConfig",
     "ObserverHub",
-    "OpenSystem",
     "Policy",
     "ProbeSink",
     "PresumedAbortCommit",

@@ -27,9 +27,11 @@ Determinism is layered the same way as the failure injector:
   that derives the same key injects the same transactions and may read
   one shared stream: the stream generates each transaction on its
   first request and keeps it for the next reader. A run that builds
-  its own stream (a *private* one) keeps none: it reads each arrival
-  without caching it and forgets it once it commits, and its frozen
-  system regenerates a forgotten arrival on request;
+  its own stream (a *private* one) generates each arrival without
+  caching it, and the runtime keeps only the arrival's compiled form;
+* the stream is the only store of a run's arrivals: once the run ends,
+  ``sim.system`` is the closed batch followed by arrival ``j`` read as
+  ``stream[j]`` on request (:meth:`ArrivalProcess.system`);
 * the schema derives from ``config.workload_seed`` alone (with the
   closed batch's placement winning for shared entity names), so runs
   with different ``seed`` (replicates) stress the *same* database.
@@ -42,7 +44,7 @@ drains naturally.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.entity import DatabaseSchema
@@ -57,118 +59,7 @@ from repro.sim.workload import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.runtime import SimulationConfig, Simulator
 
-__all__ = ["ArrivalProcess", "ArrivalStream", "OpenSystem"]
-
-
-class OpenSystem:
-    """Growable stand-in for :class:`TransactionSystem` in open runs.
-
-    The runtime only needs indexing, length, and the merged schema
-    while executing; rebuilding an immutable ``TransactionSystem`` per
-    arrival would make a run quadratic in the number of injections, so
-    arrivals append here in O(1) and :meth:`frozen` materializes the
-    real thing once, when the run ends, so ``sim.system`` answers the
-    static theory's queries (accessor indexes, schedules) afterwards.
-
-    Given the run's private ``stream``, the view may :meth:`forget` a
-    committed arrival: it drops its reference, and reading that member
-    raises :class:`LookupError` until the run ends (no path of a run
-    reads a committed transaction), after which the frozen system
-    regenerates it from the stream on request. The members passed in
-    at construction (the closed batch, which the caller owns) are
-    never forgotten.
-    """
-
-    __slots__ = ("schema", "transactions", "_stream", "_base")
-
-    def __init__(
-        self,
-        transactions: Iterable[Transaction],
-        schema: DatabaseSchema,
-        stream: ArrivalStream | None = None,
-    ):
-        self.transactions: list[Transaction | None] = list(transactions)
-        self.schema = schema
-        self._stream = stream
-        self._base = len(self.transactions)
-
-    def __len__(self) -> int:
-        return len(self.transactions)
-
-    def __getitem__(self, index: int) -> Transaction:
-        txn = self.transactions[index]
-        if txn is None:
-            raise LookupError(
-                f"member {index} was forgotten at its commit; the frozen "
-                "system regenerates it"
-            )
-        return txn
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.transactions)))
-
-    def append(self, txn: Transaction) -> int:
-        """Add a transaction; its entities must be in ``schema``."""
-        self.transactions.append(txn)
-        return len(self.transactions) - 1
-
-    def forget(self, index: int) -> None:
-        """Drop member ``index`` if it is an arrival of a private
-        stream (a no-op for a closed-batch member or without one)."""
-        if self._stream is not None and index >= self._base:
-            self.transactions[index] = None
-
-    def frozen(self) -> TransactionSystem:
-        """The accumulated transactions as a real TransactionSystem.
-
-        The run schema already covers every member — it was merged from
-        the closed batch's and the arrival process's schemas at
-        simulator construction, and :meth:`append` admits only
-        transactions over it — so the freeze hands it over instead of
-        re-merging one schema per transaction (which made freezing a
-        long batch+arrival run linear in run length times schema size).
-        Its accessor index, and with it every arrival's name-keyed
-        tables, waits for the first static query that reads it. Its
-        members are a :class:`_Members` view, which regenerates each
-        forgotten arrival on its first request, so freezing regenerates
-        nothing; the names need no check, as the arrivals' are primed
-        past the closed batch's.
-        """
-        return TransactionSystem.over(
-            _Members(self.transactions, self._base, self._stream),
-            self.schema,
-        )
-
-
-class _Members(Sequence):
-    """A finished open run's members in injection order: the kept ones
-    as they are, and each forgotten arrival regenerated from the run's
-    stream on its first request (then kept, so it stays one object)."""
-
-    __slots__ = ("_members", "_base", "_stream")
-
-    def __init__(
-        self,
-        members: list[Transaction | None],
-        base: int,
-        stream: ArrivalStream | None,
-    ):
-        self._members = members
-        self._base = base
-        self._stream = stream
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self))[index]))
-        members = self._members
-        txn = members[index]
-        if txn is None:
-            index = range(len(members))[index]
-            txn = members[index] = self._stream.generate(index - self._base)
-        return txn
+__all__ = ["ArrivalProcess", "ArrivalStream"]
 
 
 def _arrival_schema(
@@ -210,11 +101,12 @@ class ArrivalStream:
     ``Dag``'s lazy closure cache and arc set and a transaction's lazy
     name-keyed tables, store the same values whoever makes them first.
 
-    Only a stream handed to several runs (a sweep batch's, or one
-    ``repro simulate`` seed's) is read by indexing. A run that builds
-    its own stream reads :meth:`generate`, which keeps nothing, so the
-    run can forget each arrival once it commits (see
-    :class:`OpenSystem`).
+    A stream handed to several runs (a sweep batch's, or one ``repro
+    simulate`` grid's seed) is read by indexing while they run. A run
+    that builds its own stream reads :meth:`generate`, which keeps
+    nothing, so the run holds no arrival it has compiled. Either way,
+    after the run ``sim.system`` reads arrival ``i`` as ``stream[i]``
+    (:meth:`ArrivalProcess.system`), which fills the cache up to ``i``.
 
     Args:
         system: the run's closed batch (empty for a pure open system).
@@ -294,38 +186,41 @@ class ArrivalStream:
 class ArrivalProcess:
     """Injects a stream's transactions via simulator events.
 
+    The stream is the run's only store of its arrivals: the simulator
+    compiles each one as it arrives and keeps no list of them, and
+    :meth:`system` reads them back from the stream once the run ends.
+
     Args:
         sim: the simulator, whose ``system`` is still the closed batch.
         stream: the arrivals to inject; None builds the run's own
-            (``private``), whose arrivals are read without being kept.
+            (private) stream, whose arrivals are read without being
+            kept.
 
     Raises:
         ValueError: without a positive arrival rate, or when
             ``stream`` was built for a run with another key.
     """
 
-    __slots__ = (
-        "sim", "stream", "private", "_read", "_clock", "injected",
-        "finished",
-    )
+    __slots__ = ("sim", "stream", "_read", "_clock", "injected", "finished")
 
     def __init__(self, sim: Simulator, stream: ArrivalStream | None = None):
         config = sim.config
         if config.arrival_rate <= 0:
             raise ValueError("arrival process needs arrival_rate > 0")
-        self.private = stream is None
         if stream is None:
             stream = ArrivalStream(sim.system, config)
-        elif not stream.serves(sim.system, config):
+            # No other run reads a private stream: read without caching.
+            self._read = stream.generate
+        elif stream.serves(sim.system, config):
+            # A shared stream keeps each arrival for its other readers.
+            self._read = stream.__getitem__
+        else:
             raise ValueError(
                 "arrival stream was built for another run: its workload "
                 "spec, arrival schema, seed or closed-batch names differ"
             )
         self.sim = sim
         self.stream = stream
-        # A shared stream keeps each arrival for its other readers; a
-        # private one has none, so the run reads without caching.
-        self._read = stream.generate if self.private else stream.__getitem__
         # Private clock stream: arrivals must not perturb the main RNG.
         self._clock = random.Random(
             (config.seed + 2) * 1_000_003 + 0xA441
@@ -361,3 +256,45 @@ class ArrivalProcess:
         self.injected += 1
         self.sim.add_transaction(txn)
         self._schedule_next()
+
+    def system(self) -> TransactionSystem:
+        """The finished run's transaction system: the closed batch
+        (``sim.system`` until the run ends), then every arrival
+        injected, read as ``stream[j]`` on request.
+
+        Nothing is generated, checked or copied here: the run schema
+        covers every member and the arrivals' names are primed past the
+        batch's. A shared stream already keeps each arrival; a private
+        one generates arrival ``j`` (and each arrival before it not yet
+        read) on its first read, and then keeps it.
+        """
+        sim = self.sim
+        return TransactionSystem.over(
+            _Members(sim.system, self.stream, self.injected), sim.schema
+        )
+
+
+class _Members(Sequence):
+    """A finished open run's members in injection order: batch member
+    ``i``, then arrival ``j`` as ``stream[j]``."""
+
+    __slots__ = ("_batch", "_stream", "_length")
+
+    def __init__(
+        self, batch: TransactionSystem, stream: ArrivalStream, arrivals: int
+    ):
+        self._batch = batch
+        self._stream = stream
+        self._length = len(batch) + arrivals
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(self._length)[index]))
+        index = range(self._length)[index]
+        base = len(self._batch)
+        if index < base:
+            return self._batch[index]
+        return self._stream[index - base]

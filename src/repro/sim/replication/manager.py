@@ -85,9 +85,7 @@ class ReplicaManager:
         self.sim = sim
         spec = sim.config.workload
         factor = spec.replication_factor if spec is not None else 1
-        self.schema = ReplicatedSchema.round_robin(
-            sim.system.schema, factor
-        )
+        self.schema = ReplicatedSchema.round_robin(sim.schema, factor)
         self.control = make_replica_control(sim.config.replica_protocol)
         # Interned placement: eid -> ordered replica sids (primary
         # first), sid -> eids hosted there.

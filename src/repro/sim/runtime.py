@@ -80,11 +80,12 @@ finished transactions retire from every per-event scan. A committed
 transaction that retains no lock sheds its instance's per-attempt
 containers and compiled data, and its steps leave the trace for a
 packed log of final steps, so an open run does not keep the execution
-state of everything it ever ran; a run that built its own arrival
-stream forgets the committed arrival itself too, and regenerates it
-only when ``sim.system`` is asked for it after the run. Name-based
-accessors (``lock_tables()``, ``site_names()``,
-``entity_id()``/``site_id()``) remain for subsystems and tests.
+state of everything it ever ran. Nor does it keep the arrivals
+themselves: each is compiled as it arrives, its stream is their only
+store, and a run that built its own stream keeps none of them until
+``sim.system`` asks for one after the run. Name-based accessors
+(``lock_tables()``, ``site_names()``, ``entity_id()``/``site_id()``)
+remain for subsystems and tests.
 
 The completed operations form a trace. Each step is recorded with its
 *access code* (entity id, lock/unlock/action, shared or exclusive),
@@ -119,7 +120,7 @@ from repro.core.schedule import Schedule
 from repro.core.serialization import is_serializable
 from repro.core.system import TransactionSystem
 from repro.core.transaction import Transaction
-from repro.sim.arrivals import ArrivalProcess, ArrivalStream, OpenSystem
+from repro.sim.arrivals import ArrivalProcess, ArrivalStream
 from repro.sim.commit import make_protocol
 from repro.sim.durability import DurabilityConfig, DurabilityManager
 from repro.sim.events import EventQueue, HandlerRegistry
@@ -295,7 +296,9 @@ class _Instance:
     kinds and access codes, the eid -> Lock-node table, the read
     (shared-mode) eid set, the written eids in sorted order, the
     bitmask of nodes whose issue crosses sites (network delay), and the
-    Dag's direct masks.
+    Dag's direct masks. It holds no reference to the transaction: the
+    compiled data is all the run reads of it, and an arrival is kept
+    by its stream alone.
 
     Once the transaction commits and retains no lock, no event reads
     its per-attempt state again, and :meth:`Simulator._shed` drops it:
@@ -359,18 +362,24 @@ class _Instance:
 class Simulator:
     """One simulation run over a system, policy, and configuration.
 
+    ``sim.system`` is ``system`` until :meth:`run` ends. An open run
+    keeps its arrivals in its stream alone, so it then becomes the
+    paper's system A of the whole run: the batch, then arrival ``j``
+    read back as ``stream[j]`` on request. ``sim.schema`` is the run's
+    database, the batch's schema merged with the arrivals'.
+
     Args:
         system: the closed batch (empty for a pure open system).
         policy: contention policy, or its registered name.
         config: run configuration (defaults throughout when None).
         stream: the :class:`~repro.sim.arrivals.ArrivalStream` an open
             run injects from. None (the default) builds the run's own,
-            private stream: the run keeps no arrival it has committed,
-            and ``sim.system`` regenerates one on request after the
-            run. Runs whose system and config derive the same key (the
-            cells of one sweep replicate) may pass one shared stream,
-            which then generates each arrival once for all of them and
-            keeps it.
+            private stream: the run generates each arrival without
+            keeping it, and ``sim.system`` generates it again on its
+            first read after the run (the stream then keeps it). Runs
+            whose system and config derive the same key (the cells of
+            one sweep replicate) may pass one shared stream, which then
+            generates each arrival once for all of them and keeps it.
 
     Raises:
         ValueError: if ``stream`` was built for a run with another key,
@@ -385,7 +394,7 @@ class Simulator:
         *,
         stream: ArrivalStream | None = None,
     ):
-        self.system: TransactionSystem | OpenSystem = system
+        self.system = system
         self.policy = (
             make_policy(policy) if isinstance(policy, str) else policy
         )
@@ -397,21 +406,15 @@ class Simulator:
         # count() and the lifecycle points call it with (kind, args).
         self._probe = None
         self.arrivals: ArrivalProcess | None = None
-        # Called with each instance that sheds (OpenSystem.forget: a
-        # private stream's run drops the committed arrival).
-        self._forget = None
+        schema = system.schema
         if self.config.arrival_rate > 0:
-            # Open system: wrap the (possibly empty) closed batch in a
-            # growable view over the merged batch + arrival schema.
+            # Open system: the (possibly empty) closed batch runs over
+            # the merged batch + arrival schema.
             self.arrivals = ArrivalProcess(self, stream)
-            self.system = OpenSystem(
-                system.transactions,
-                system.schema.merged_with(self.arrivals.schema),
-                self.arrivals.stream if self.arrivals.private else None,
-            )
-            self._forget = self.system.forget
+            schema = schema.merged_with(self.arrivals.schema)
         elif stream is not None:
             raise ValueError("a closed run (arrival_rate 0) has no arrivals")
+        self.schema = schema
         # Interned commit-round answers: (coordinator sid, participant
         # sid mask) -> (coordinator, participants), see _round_sites.
         self._rounds: dict[tuple[int, int], tuple[str, tuple[str, ...]]] = {}
@@ -419,7 +422,6 @@ class Simulator:
         # order reproduces every historically sorted iteration (site
         # release order in _abort, retained-lock order, participant
         # lists) while the hot-path keys become integers.
-        schema = self.system.schema
         self._entity_names: list[str] = sorted(schema.entities)
         self._entity_ids: dict[str, int] = {
             name: eid for eid, name in enumerate(self._entity_names)
@@ -488,15 +490,15 @@ class Simulator:
             for sid, site in enumerate(self._site_list):
                 site.observer = self._waits_for.observer(sid, n_sites)
         self._instances = []
-        for index in range(len(self.system)):
+        for index, t in enumerate(system):
             inst = _Instance(index)
-            self._compile(inst, self.system[index])
+            self._compile(inst, t)
             self._instances.append(inst)
         self.result = SimulationResult(
             policy=self.policy.name,
             commit_protocol=self.config.commit_protocol,
             replica_protocol=self.config.replica_protocol,
-            total=len(self.system),
+            total=len(system),
             warmup_time=self.config.warmup_time,
         )
         self.replicas = ReplicaManager(self)
@@ -725,11 +727,14 @@ class Simulator:
     def add_transaction(self, txn: Transaction) -> int:
         """Inject ``txn`` into the running open system, starting now.
 
-        Only valid in open-system mode (the arrival process is the
-        caller); the new client's timestamp is its arrival time, so the
-        RSL policies' age comparisons extend naturally to arrivals.
+        The arrival process is the only caller: ``txn`` is arrival
+        ``j`` of its stream, and its index is the batch size plus
+        ``j``. The run compiles it and keeps no reference to it; after
+        the run, ``sim.system`` reads it back from the stream. The new
+        client's timestamp is its arrival time, so the RSL policies'
+        age comparisons extend naturally to arrivals.
         """
-        index = self.system.append(txn)
+        index = len(self._instances)
         inst = _Instance(index)
         self._compile(inst, txn)
         inst.timestamp = self._now
@@ -783,7 +788,7 @@ class Simulator:
         """
         if self.arrivals is not None and not self.arrivals.finished:
             return True
-        return self.result.committed < len(self.system)
+        return self.result.committed < len(self._instances)
 
     def transaction_sites(self, txn: int) -> tuple[str, list[str]]:
         """``(coordinator, participants)`` of a commit round.
@@ -799,8 +804,7 @@ class Simulator:
         Answered from the instance alone: a recovered participant may
         ask after the commit, when the instance has shed its compiled
         ids and ``lock_sites`` and kept the answer instead
-        (``commit_sites``), and a private stream's run has forgotten
-        the transaction itself.
+        (``commit_sites``), and the run keeps no arrival's transaction.
         """
         inst = self._instances[txn]
         coordinator, participants = (
@@ -940,8 +944,7 @@ class Simulator:
 
     def _shed(self, inst: _Instance) -> None:
         """Drop a committed transaction's per-attempt state once it
-        retains no lock (see :class:`_Instance`), and with a private
-        stream the arrival itself; a no-op otherwise."""
+        retains no lock (see :class:`_Instance`); a no-op otherwise."""
         if inst.status != _COMMITTED or inst.retained:
             return
         if inst.commit_sites is None:  # the first shedding
@@ -951,8 +954,6 @@ class Simulator:
         inst.retained = _NO_LOCKS
         inst.eids = inst.kinds = inst.codes = inst.write_eids = ()
         inst.preds = inst.succ = ()
-        if self._forget is not None:
-            self._forget(inst.index)
 
     def _settle_trace(self) -> None:
         """Advance the trace's head past its decided steps.
@@ -1022,21 +1023,16 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _issue_ready(self, inst: _Instance) -> None:
-        """Issue every currently ready, unissued node (ascending id).
+        """Issue a fresh attempt's roots (ascending id).
 
         Readiness is event-driven: a node becomes ready exactly when a
-        fresh attempt starts (its roots) or when its last outstanding
-        ancestor completes (handled incrementally in ``_on_op_done``
-        via the successor masks), so this full pass only ever runs with
-        ``issued == 0`` — but it stays correct for any state.
+        fresh attempt starts (its roots, issued here with nothing
+        issued yet) or when its last outstanding predecessor completes
+        (``_on_op_done`` issues the node's successors).
         """
         if inst.status != _RUNNING:
             return
-        pending = (
-            inst.roots_mask if not inst.issued
-            else inst.all_mask & ~inst.issued
-        )
-        self._issue_nodes(inst, pending)
+        self._issue_nodes(inst, inst.roots_mask)
 
     def _issue_nodes(self, inst: _Instance, pending: int) -> None:
         """Issue the ready subset of the ``pending`` node mask.
@@ -1525,8 +1521,7 @@ class Simulator:
             return  # stale event from an aborted attempt
         before = inst.done
         done = before | 1 << node
-        preds = inst.preds
-        if done == before or preds[node] & ~before:
+        if done == before or inst.preds[node] & ~before:
             self._illegal_step(inst, node)
         inst.done = done
         code = inst.codes[node]
@@ -1567,49 +1562,10 @@ class Simulator:
             self.commit.on_execution_complete(inst)
             return
         # Only direct successors of the completed node can have become
-        # ready — no full pending rescan. The issue loop is the body of
-        # ``_issue_nodes``, inlined: this handler runs once per
-        # simulated operation and the call frame was measurable.
+        # ready — no full pending rescan.
         pending = inst.succ[node] & ~inst.issued
-        if not pending:
-            return
-        not_done = ~done
-        kinds = inst.kinds
-        net_delay = self._net_delay
-        cross = inst.cross_mask
-        network = self.network
-        while pending:
-            low = pending & -pending
-            ready = low.bit_length() - 1
-            pending ^= low
-            if preds[ready] & not_done:
-                continue
-            inst.issued |= low
-            if net_delay > 0 and cross >> ready & 1:
-                if network is None or kinds[ready] is _LOCK:
-                    # Lock issues stay client-local; see _issue_nodes.
-                    self.schedule(
-                        net_delay, ("issue", inst.index, ready, inst.attempt)
-                    )
-                else:
-                    eid = inst.eids[ready]
-                    sites = inst.lock_sites.get(eid)
-                    self.transmit(
-                        inst.home_sid,
-                        sites[0] if sites else self._primary_sid[eid],
-                        net_delay,
-                        ("issue", inst.index, ready, inst.attempt),
-                    )
-                continue
-            if kinds[ready] is _LOCK or self.failures is not None:
-                self._issue_one(inst, ready)
-                if inst.status != _RUNNING:
-                    return  # the request aborted us (wait-die)
-                continue
-            self.schedule(
-                self._service_time,
-                ("op_done", inst.index, ready, inst.attempt),
-            )
+        if pending:
+            self._issue_nodes(inst, pending)
 
     def _abort(self, inst: _Instance, cause: str) -> None:
         """Release everything, forget progress, schedule a restart.
@@ -1892,12 +1848,11 @@ class Simulator:
         self.result.end_time = self._now
         self.replicas.finalize()
         if self.arrivals is not None:
-            # The run is over; freeze the accumulated transactions as a
-            # real (indexed) TransactionSystem, so ``sim.system``
-            # answers the static theory's queries after an open run
-            # (regenerating, on request, each arrival it forgot).
-            self.system = self.system.frozen()
-        if self.result.committed < len(self.system):
+            # The run is over: ``sim.system`` becomes the batch and
+            # every arrival, read back from the stream on request, so
+            # it answers the static theory's queries.
+            self.system = self.arrivals.system()
+        if self.result.committed < len(self._instances):
             if not self._queue and not self.result.truncated:
                 if self.policy.uses_detection:
                     # A detection run can only drain with work left
@@ -2008,8 +1963,8 @@ class Simulator:
         replica sets.
 
         The pass reads each step's access code from the final-step log
-        and the pending trace, never ``self.system``: a private
-        stream's run has forgotten its committed arrivals. Lemma 1's
+        and the pending trace, never ``self.system``, which would read
+        a private stream's arrivals by generating them again. Lemma 1's
         arcs need only the unfinished transactions, whose live
         instances keep their codes, and their final attempt's steps are
         the instance's ``done`` mask. Whether each step was legal (not

@@ -7,7 +7,7 @@ from repro.core.prefix import SystemPrefix
 from repro.core.system import TransactionSystem
 from repro.core.transaction import Transaction
 from repro.io.dot import system_to_dot
-from repro.sim.arrivals import ArrivalProcess, ArrivalStream, OpenSystem
+from repro.sim.arrivals import ArrivalProcess, ArrivalStream
 from repro.sim.runtime import SimulationConfig, Simulator, simulate
 from repro.sim.workload import CompiledWorkload, WorkloadSpec
 
@@ -268,27 +268,50 @@ class TestSteadyStateMetrics:
 
 
 class TestOpenSystemWrapper:
-    def test_append_and_frozen(self):
-        schema = DatabaseSchema.single_site(["x", "y"], site="s0")
-        t1 = Transaction.sequential("T1", ["Lx", "Ux"], schema)
-        t2 = Transaction.sequential("T2", ["Ly", "Uy"], schema)
-        open_system = OpenSystem([t1], schema)
-        assert len(open_system) == 1
-        assert open_system.append(t2) == 1
-        assert open_system[1] is t2
-        assert [t.name for t in open_system] == ["T1", "T2"]
-        frozen = open_system.frozen()
-        assert isinstance(frozen, TransactionSystem)
-        assert len(frozen) == 2
+    """An open run keeps its arrivals in its stream alone: ``sim.system``
+    is the caller's batch until the run ends, and then the batch
+    followed by every arrival, read back from the stream."""
 
-    def test_simulator_freezes_after_an_open_run(self):
-        sim = Simulator(empty(), "wound-wait", open_config())
-        assert isinstance(sim.system, OpenSystem)
+    @staticmethod
+    def batch() -> TransactionSystem:
+        schema = DatabaseSchema.single_site(["x", "y"], site="s0")
+        return TransactionSystem([
+            Transaction.sequential("B1", ["Lx", "Ly", "Ux", "Uy"], schema),
+            Transaction.sequential("B2", ["Ly", "A.y", "Uy"], schema),
+        ])
+
+    def test_system_is_the_batch_until_the_run_ends(self):
+        batch = self.batch()
+        sim = Simulator(batch, "wound-wait", open_config())
+        assert sim.system is batch
         sim.run()
-        assert isinstance(sim.system, TransactionSystem)
-        # The committed trace replays over the frozen system.
+        assert sim.system is not batch
+
+    def test_after_the_run_it_is_the_batch_then_the_arrivals(self):
+        batch = self.batch()
+        config = open_config()
+        sim = Simulator(batch, "wound-wait", config)
+        result = sim.run()
+        system = sim.system
+        assert isinstance(system, TransactionSystem)
+        assert len(system) == len(batch) + result.injected == 42
+        assert system[0] is batch[0] and system[1] is batch[1]
+        stream = ArrivalStream(batch, config)
+        for j, t in enumerate(system[len(batch):]):
+            arrival = stream[j]
+            assert t.name == arrival.name == f"TX{j + 1}"
+            assert t.ops == arrival.ops
+            assert list(t.dag.arcs) == list(arrival.dag.arcs)
+        assert system.schema == sim.schema
+        assert {"x", "y"} < system.entities <= set(sim.schema.entities)
+
+    def test_committed_schedule_replays(self):
+        sim = Simulator(self.batch(), "wound-wait", open_config())
+        result = sim.run()
+        assert result.committed == result.total == 42
+        # The committed trace replays over the batch and the arrivals.
         schedule = sim.committed_schedule()
-        assert len(schedule.steps) > 0
+        assert {step.txn for step in schedule.steps} == set(range(42))
 
     def test_static_queries_on_the_arrived_transactions(self):
         # Arrivals are built on the trusted path, with their closure

@@ -166,6 +166,38 @@ class TestSimulateOpenSystem:
     def test_replicated_grid_shares_each_seed_stream(self, monkeypatch):
         self.check_grid_streams(monkeypatch, runs=2)
 
+    def test_a_lone_cell_builds_each_run_its_own_stream(
+        self, monkeypatch, capsys
+    ):
+        # One policy and one protocol: no other run reads a seed's
+        # arrivals, so each run builds its own stream and keeps none of
+        # them, and prints what it would with a stream handed in.
+        import repro.sim.runtime
+        from repro.sim.arrivals import ArrivalStream
+
+        real = repro.sim.runtime.Simulator
+        handed, hand_in = [], [False]
+
+        class Recording(real):
+            def __init__(self, system, policy, config, *, stream=None):
+                handed.append(stream)
+                if hand_in[0]:
+                    stream = ArrivalStream(system, config)
+                super().__init__(system, policy, config, stream=stream)
+
+        monkeypatch.setattr(repro.sim.runtime, "Simulator", Recording)
+        args = [
+            "simulate", "--arrival-rate", "0.8", "--max-transactions",
+            "200", "--policies", "wound-wait", "--runs", "2",
+        ]
+        assert main(args) == 0
+        own = capsys.readouterr().out
+        assert handed == [None, None]
+        hand_in[0] = True
+        assert main(args) == 0
+        assert capsys.readouterr().out == own
+        assert "200/200" in own
+
 
 class TestSweep:
     ARGS = [

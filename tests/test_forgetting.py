@@ -1,14 +1,15 @@
 """What an open run keeps of the arrivals it has committed.
 
 A run that builds its own arrival stream (a *private* one) reads each
-arrival without caching it and forgets it once it commits and its
-instance sheds; after the run, ``sim.system`` regenerates a forgotten
-arrival from the stream on request. A stream handed in (shared by
+arrival without caching it and keeps only its compiled form; after the
+run, ``sim.system`` generates each arrival again from the stream on
+request. A stream handed in (shared by
 several runs) keeps every transaction, so the two kinds of run inject
 the same transactions and their frozen systems answer alike.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -56,9 +57,9 @@ def durable_crashes(protocol: str) -> tuple[TransactionSystem, SimulationConfig]
 
 
 class TestWhatAnOpenRunForgets:
-    """Each arrival is generated once and is unreadable once forgotten,
-    until the run ends; the bytes a run keeps per arrival are bounded
-    by tests/test_runtime.py::TestWhatARunKeeps."""
+    """Each arrival is generated once while the run lasts; the bytes a
+    run keeps per arrival are bounded by
+    tests/test_runtime.py::TestWhatARunKeeps."""
 
     @pytest.mark.parametrize("protocol", ["two-phase", "paxos-commit"])
     def test_each_arrival_is_generated_once(self, monkeypatch, protocol):
@@ -98,11 +99,6 @@ class TestWhatAnOpenRunForgets:
 
         def committing(inst):
             finish_commit(inst)
-            # Shed at once (instant commit retains nothing): until the
-            # run ends, reading the arrival is an error, not a
-            # regeneration.
-            with pytest.raises(LookupError, match="forgotten"):
-                sim.system[inst.index]
             forgotten.append(inst.index)
 
         sim.finish_commit = committing
@@ -110,6 +106,25 @@ class TestWhatAnOpenRunForgets:
         assert result.committed == result.total
         assert len(generated) == result.injected == 60
         assert sorted(forgotten) == list(range(60))
+
+    def test_a_private_run_takes_no_reference_to_an_arrival(self):
+        # A Transaction has __slots__ and takes no weakref, so its
+        # reference count tells what keeps it: injecting adds nothing.
+        sim = Simulator(random_system(random.Random(5), READS),
+                        "wound-wait", OPEN)
+        add_transaction = sim.add_transaction
+        counts = []
+
+        def injecting(txn):
+            before = sys.getrefcount(txn)
+            index = add_transaction(txn)
+            counts.append((before, sys.getrefcount(txn)))
+            return index
+
+        sim.add_transaction = injecting
+        result = sim.run()
+        assert len(counts) == result.injected == 50
+        assert all(before == after for before, after in counts), counts
 
 
 def open_runs(config: SimulationConfig) -> tuple[Simulator, Simulator]:
