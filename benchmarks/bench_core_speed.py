@@ -11,7 +11,8 @@ writes ``BENCH_core.json``:
   target of the fast-path PR is measured on: thousands of arrivals
   make the instance list grow all run, which is exactly where the
   historical per-tick full rescans and per-abort full-table scans
-  degraded;
+  degraded (each scan now starts from the blocked transactions the
+  lock tables list, and no waits-for graph is kept beside them);
 * ``open-long`` — the arrival-to-verdict stress: a closed seed batch
   plus sustained arrivals of *larger* transactions under wound-wait,
   producing a committed trace ~5x the ``open`` scenario's. Per-arrival
@@ -22,8 +23,8 @@ writes ``BENCH_core.json``:
   factor 3 under ``rowa-available`` with site failures and a read mix
   (replica fan-out, staleness tracking, availability integration);
 * ``detection`` — a deliberately *saturated* detector (arrivals faster
-  than the detect policy can clear): deep queues, constant cycles, the
-  worst case for waits-for bookkeeping.
+  than the detect policy can clear): deep queues and constant cycles,
+  so every scan walks a large blocked set read from the lock tables.
 
 Every scenario is seeded and deterministic, so besides the timings the
 harness records a *behaviour digest* over the simulation result —
@@ -136,9 +137,10 @@ def _scenarios(quick: bool) -> dict[str, tuple]:
 
     def open_system():
         # Sustained contention at a load the detector can just about
-        # keep up with: the blocked set stays bounded while the total
-        # instance list keeps growing — the regime where retiring
-        # finished transactions from the scan loops matters.
+        # keep up with: the blocked set the lock tables list stays
+        # bounded while the total instance list keeps growing — the
+        # regime where retiring finished transactions from the scan
+        # loops matters.
         spec = WorkloadSpec(
             n_entities=32, n_sites=8, entities_per_txn=(2, 4),
             actions_per_entity=(0, 2), hotspot_skew=0.6,
@@ -183,8 +185,9 @@ def _scenarios(quick: bool) -> dict[str, tuple]:
 
     def detection():
         # Deliberately saturated: the detect policy cannot keep up, so
-        # the instance list keeps growing while the detector scans it
-        # every interval — the worst case for waits-for bookkeeping.
+        # the instance list keeps growing and the blocked set the
+        # detector reads from the lock tables every interval stays
+        # large — the worst case for the detector's search.
         spec = WorkloadSpec(
             n_entities=24, n_sites=6, entities_per_txn=(2, 4),
             actions_per_entity=(0, 2), hotspot_skew=0.8,

@@ -11,8 +11,9 @@ contention policy:
 * ``wound-wait`` / ``wait-die`` — the timestamp prevention schemes of
   Rosenkrantz, Stearns & Lewis [RSL], the practical baselines;
 * ``timeout`` — abort-and-restart on lock waits exceeding a deadline;
-* ``detect`` — periodic wait-for-graph cycle detection with youngest-
-  victim abort.
+* ``detect`` — a periodic scan for a waits-for cycle, read from the
+  lock tables (who waits at each cell, for its holders), with
+  youngest-victim abort.
 
 Orthogonally to the policy, an atomic-commit protocol
 (:mod:`repro.sim.commit`: ``instant``, ``two-phase``,
@@ -100,7 +101,6 @@ from repro.sim.runtime import (
     find_deadlocking_seed,
     simulate,
 )
-from repro.sim.waitsfor import WaitsForGraph
 from repro.sim.workload import (
     WorkloadSpec,
     random_schema,
@@ -138,7 +138,6 @@ __all__ = [
     "TimeoutPolicy",
     "TwoPhaseCommit",
     "WaitDiePolicy",
-    "WaitsForGraph",
     "WorkloadSpec",
     "WoundWaitPolicy",
     "find_deadlocking_seed",

@@ -36,11 +36,16 @@ to the transaction's own lock state rather than to the site's whole
 table. ``release_all`` replays the exact historical release order (the
 ``_holders`` key insertion order) via per-entity slot counters, so
 grant cascades — and therefore whole simulations — stay bit-identical
-to the pre-index implementation. An optional ``observer``
-(:class:`~repro.sim.waitsfor.SiteCellObserver`) receives the four
-primitive cell mutations — wait, unwait, hold, unhold — which is how
-the runtime maintains the waits-for graph incrementally at O(edge
-delta) cost per lock operation.
+to the pre-index implementation.
+
+The tables are the simulator's one record of who waits: the wait
+index (:attr:`SiteLockManager.wait_index`, each transaction's queued
+entities here) and the queues (:attr:`SiteLockManager.queues`) are
+exposed read-only, and the deadlock detector, the metrics sampler and
+the flight recorder all read them. An optional ``observer`` receives
+the four primitive cell mutations — wait, unwait, hold, unhold — after
+the table changed; the observer hub attaches one to turn them into
+probes.
 
 Entity keys are opaque hashables: the simulator interns entities to
 dense integer ids, while direct users (tests, examples) may keep
@@ -49,12 +54,9 @@ strings — the table never inspects the keys beyond hashing/sorting.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from types import MappingProxyType
 
 from repro.core.entity import Entity
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.waitsfor import SiteCellObserver
 
 __all__ = ["EXCLUSIVE", "SHARED", "SiteLockManager"]
 
@@ -73,7 +75,7 @@ class SiteLockManager:
 
     __slots__ = (
         "site", "_holders", "_queue", "_txn_held", "_txn_wait",
-        "_slot", "_next_slot", "observer",
+        "_slot", "_next_slot", "observer", "wait_index", "queues",
     )
 
     def __init__(self, site: str):
@@ -92,9 +94,14 @@ class SiteLockManager:
         self._slot: dict[Entity, int] = {}
         self._next_slot = 0
         # Receives wait/unwait/hold/unhold cell mutations (None = no
-        # observer; the runtime attaches one for the policies that
-        # consume the waits-for graph).
-        self.observer: "SiteCellObserver | None" = None
+        # observer; the observer hub attaches its cell probes).
+        self.observer = None
+        #: txn -> the entities it waits for here (read-only view; the
+        #: keys are the transactions with a queued request at the site)
+        self.wait_index = MappingProxyType(self._txn_wait)
+        #: entity -> its wait queue ``{txn: mode}`` in FIFO order
+        #: (read-only view; callers must not mutate the queues)
+        self.queues = MappingProxyType(self._queue)
 
     # ------------------------------------------------------------------
     # index upkeep
@@ -378,13 +385,6 @@ class SiteLockManager:
         copy. Callers must not mutate it.
         """
         return self._holders.get(entity)
-
-    def queue_map(self, entity: Entity) -> dict[int, str] | None:
-        """The internal wait queue ``{txn: mode}`` in FIFO order.
-
-        Hot-path accessor for the runtime; callers must not mutate it.
-        """
-        return self._queue.get(entity)
 
     def mode(self, entity: Entity) -> str | None:
         """The granted mode of ``entity`` (None when free)."""

@@ -90,6 +90,12 @@ SEGMENTS = (
     _ADMISSION, _LOCK, _COORD, _FANOUT, _SERVICE, _COMMIT, _LOGFORCE,
 ) = range(7)
 
+#: a cell's waiter queue at least this deep counts as a convoy
+CONVOY_THRESHOLD = 3
+#: how many cells (by blocked time) and blame edges a summary lists
+TOP_CELLS = 16
+TOP_EDGES = 32
+
 
 class _TxnState:
     """Single-timeline attribution state of one tracked transaction."""
@@ -136,8 +142,8 @@ class _CellStats:
         self.peak_depth = 0
         self.convoy = 0.0  # time spent at convoy depth
 
-    def set_depth(self, depth: int, now: float, threshold: int):
-        if self.depth >= threshold:
+    def set_depth(self, depth: int, now: float):
+        if self.depth >= CONVOY_THRESHOLD:
             self.convoy += now - self.depth_since
         self.depth = depth
         self.depth_since = now
@@ -154,21 +160,12 @@ class LatencyAttribution:
     built.
     """
 
-    def __init__(
-        self,
-        sample_every: int = 1,
-        convoy_threshold: int = 3,
-        top_cells: int = 16,
-        top_edges: int = 32,
-    ):
+    def __init__(self, sample_every: int = 1):
         if sample_every < 1:
             raise ValueError(
                 f"sample_every must be >= 1, got {sample_every}"
             )
         self.sample_every = sample_every
-        self.convoy_threshold = convoy_threshold
-        self.top_cells = top_cells
-        self.top_edges = top_edges
         self._states: dict[int, _TxnState] = {}
         self._cells: dict = {}  # cell -> _CellStats
         self._holders: dict = {}  # cell -> set of holder txns
@@ -345,9 +342,7 @@ class LatencyAttribution:
                     waiters[txn] = None
                     stats = self._cell_stats(cell)
                     stats.waits += 1
-                    stats.set_depth(
-                        len(waiters), now, self.convoy_threshold
-                    )
+                    stats.set_depth(len(waiters), now)
             elif kind == "unwait":
                 st = states.get(txn)
                 if st is not None and cell in st.wait_cells:
@@ -356,9 +351,7 @@ class LatencyAttribution:
                     waiters = self._waiters.get(cell)
                     if waiters is not None and txn in waiters:
                         del waiters[txn]
-                        self._cell_stats(cell).set_depth(
-                            len(waiters), now, self.convoy_threshold
-                        )
+                        self._cell_stats(cell).set_depth(len(waiters), now)
             elif kind == "hold":
                 self._advance_waiters(cell, now)
                 self._holders.setdefault(cell, set()).add(txn)
@@ -424,9 +417,7 @@ class LatencyAttribution:
             waiters = self._waiters.get(cell)
             if waiters is not None and txn in waiters:
                 del waiters[txn]
-                self._cell_stats(cell).set_depth(
-                    len(waiters), now, self.convoy_threshold
-                )
+                self._cell_stats(cell).set_depth(len(waiters), now)
         st.wait_cells.clear()
         st.in_service = 0
         st.in_net = 0
@@ -525,7 +516,7 @@ class LatencyAttribution:
         """
         # Close the convoy integrals at the last observed instant.
         for stats in self._cells.values():
-            stats.set_depth(stats.depth, self._end, self.convoy_threshold)
+            stats.set_depth(stats.depth, self._end)
         totals = dict.fromkeys(SEGMENTS, 0.0)
         max_drift = 0.0
         min_service = 0.0
@@ -555,7 +546,7 @@ class LatencyAttribution:
                     stats.blocked / total_blocked if total_blocked else 0.0
                 ),
             }
-            for cell, stats in cells[: self.top_cells]
+            for cell, stats in cells[:TOP_CELLS]
         ]
         entity_blocked: dict[str, float] = {}
         for cell, stats in self._cells.items():
@@ -599,9 +590,9 @@ class LatencyAttribution:
             },
             "hot_cells": hot_cells,
             "hotspot": hotspot,
-            "convoy_threshold": self.convoy_threshold,
+            "convoy_threshold": CONVOY_THRESHOLD,
             "blame": {
-                "edges": edges[: self.top_edges],
+                "edges": edges[:TOP_EDGES],
                 "edge_count": len(edges),
                 "total_time": blame_total,
             },

@@ -6,10 +6,9 @@ directory:
 
 * ``flight-NNN-<reason>.jsonl`` — the retained records, formatted like
   the tracer's JSONL export;
-* ``flight-NNN-<reason>.dot`` — a waits-for graph snapshot at the
-  moment of the anomaly (via :func:`repro.io.dot.waits_for_to_dot`),
-  taken from the incrementally maintained graph when the policy keeps
-  one and rebuilt from the lock tables otherwise.
+* ``flight-NNN-<reason>.dot`` — a waits-for snapshot at the moment of
+  the anomaly (via :func:`repro.io.dot.waits_for_to_dot`), read from
+  the lock tables: each queued waiter, to the holders of its cell.
 
 Triggers:
 
@@ -37,6 +36,19 @@ from repro.sim.observe.probes import ProbeSink
 from repro.sim.observe.trace import iter_formatted
 
 __all__ = ["FlightRecorder"]
+
+
+def _lock_table_edges(sim) -> dict[int, set[int]]:
+    """``{waiter: holders}`` read from the lock tables: each queued
+    waiter, to the holders of its cell."""
+    edges: dict[int, set[int]] = {}
+    for site in sim._site_list:
+        for entity, queue in site.queues.items():
+            holders = site.holders_map(entity)
+            if holders:
+                for waiter in queue:
+                    edges.setdefault(waiter, set()).update(holders)
+    return edges
 
 
 class FlightRecorder(ProbeSink):
@@ -94,11 +106,9 @@ class FlightRecorder(ProbeSink):
             ):
                 fh.write(json.dumps(record, separators=(",", ":")))
                 fh.write("\n")
-        wf = sim._waits_for
-        edges = wf.as_sets() if wf is not None else sim._wait_for_edges()
         dot_path = stem + ".dot"
         with open(dot_path, "w", encoding="utf-8") as fh:
-            fh.write(waits_for_to_dot(edges))
+            fh.write(waits_for_to_dot(_lock_table_edges(sim)))
         entry = {
             "reason": reason,
             "time": sim._now,

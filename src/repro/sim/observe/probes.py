@@ -19,11 +19,10 @@ when — it attaches:
     time. Paired with the later ``event`` dispatch probe this exposes
     every service interval and network hop;
   - lock-cell mutations: every :class:`~repro.sim.locks.
-    SiteLockManager` already carries an (optional) observer consulted
-    at each grant / wait / release; the hub replaces it with a tee
-    that forwards to the original observer (the incremental waits-for
-    graph, when present) and then emits ``wait``/``unwait``/``hold``/
-    ``unhold`` probes;
+    SiteLockManager` has an optional observer slot, consulted after
+    each grant / wait / release changed its table; the hub is the
+    only observer, and fills the slot with one that emits ``wait``/
+    ``unwait``/``hold``/``unhold`` probes;
 
 * the simulator's probe slot, ``sim._probe``, which the hub sets to
   its emit function. :meth:`~repro.sim.runtime.Simulator.count` —
@@ -369,9 +368,9 @@ class ObserverHub:
 
         sim.schedule = schedule
 
-        # 2. Lock-cell probes: tee in front of each site's observer.
+        # 2. Lock-cell probes: each site's table observer.
         for sid, site in enumerate(sim._site_list):
-            site.observer = _TeeCellObserver(self, sid, site.observer)
+            site.observer = _CellProbes(self, sid)
 
         # 3. Counter and lifecycle probes: Simulator.count and the
         # arrive/prepared/commit/abort points call the probe slot.
@@ -384,41 +383,23 @@ class ObserverHub:
             sink.finalize(sim, sim.result)
 
 
-class _TeeCellObserver:
-    """Forwards cell mutations to the original observer, then probes.
+class _CellProbes:
+    """One site's lock-cell mutations, as probes."""
 
-    The original observer (the incremental waits-for graph's per-site
-    adapter) runs first so every probe fires against fully updated
-    graph state.
-    """
+    __slots__ = ("_hub", "_sid")
 
-    __slots__ = ("_hub", "_sid", "_inner")
-
-    def __init__(self, hub: ObserverHub, sid: int, inner):
+    def __init__(self, hub: ObserverHub, sid: int):
         self._hub = hub
         self._sid = sid
-        self._inner = inner
 
     def wait(self, entity: int, txn: int) -> None:
-        inner = self._inner
-        if inner is not None:
-            inner.wait(entity, txn)
         self._hub._emit("wait", (self._sid, entity, txn))
 
     def unwait(self, entity: int, txn: int) -> None:
-        inner = self._inner
-        if inner is not None:
-            inner.unwait(entity, txn)
         self._hub._emit("unwait", (self._sid, entity, txn))
 
     def hold(self, entity: int, txn: int) -> None:
-        inner = self._inner
-        if inner is not None:
-            inner.hold(entity, txn)
         self._hub._emit("hold", (self._sid, entity, txn))
 
     def unhold(self, entity: int, txn: int) -> None:
-        inner = self._inner
-        if inner is not None:
-            inner.unhold(entity, txn)
         self._hub._emit("unhold", (self._sid, entity, txn))

@@ -51,9 +51,6 @@ class MetricsSampler(ProbeSink):
         self._inflight = 0
         self._blocked = 0
         self._queue_depth: list[int] = []
-        # txn -> its queued lock requests: the transactions a window
-        # close's waits-for edge count must visit
-        self._waiters: dict[int, int] = {}
         # current-window accumulators (full-time, not warmup-gated)
         self._wlast = 0.0
         self._boundary = self.window
@@ -90,17 +87,9 @@ class MetricsSampler(ProbeSink):
         elif kind == "wait":
             self._blocked += 1
             self._queue_depth[args[0]] += 1
-            txn = args[2]
-            self._waiters[txn] = self._waiters.get(txn, 0) + 1
         elif kind == "unwait":
             self._blocked -= 1
             self._queue_depth[args[0]] -= 1
-            txn = args[2]
-            left = self._waiters[txn] - 1
-            if left:
-                self._waiters[txn] = left
-            else:
-                del self._waiters[txn]
         elif kind == "commit":
             self._inflight -= 1
             self._commits += 1
@@ -152,16 +141,12 @@ class MetricsSampler(ProbeSink):
     def _edge_count(self) -> int:
         """Distinct waits-for edges right now.
 
-        Reads the incrementally maintained graph when the policy keeps
-        one; otherwise rebuilds the edges of the transactions with a
-        queued request (cold — once per window close, never per event),
-        so a close does not visit every transaction ever injected.
+        Rebuilds the edges of the transactions the lock tables list as
+        blocked (cold — once per window close, never per event), so a
+        close does not visit every transaction ever injected.
         """
         sim = self._sim
-        wf = sim._waits_for
-        if wf is not None:
-            return sum(len(counts) for counts in wf._edges.values())
-        edges = sim._wait_for_edges(self._waiters)
+        edges = sim._wait_for_edges(sim._blocked())
         return sum(len(h) for h in edges.values())
 
     # ------------------------------------------------------------------

@@ -72,9 +72,11 @@ lock state (:class:`~repro.sim.locks.SiteLockManager` keys,
 ``waiting``/``retained``/``lock_sites``) is keyed on those ids;
 because id order equals sorted-name order, every historically
 ``sorted()``-dependent iteration is preserved bit for bit while the
-comparisons and hashes become integer-cheap. The waits-for
-graph is maintained incrementally (:mod:`repro.sim.waitsfor`) instead
-of being rebuilt each detection tick, the operation trace is recorded
+comparisons and hashes become integer-cheap. The lock tables are the
+one record of who waits: no waits-for graph is kept beside them, and
+the deadlock detector starts from their wait indexes (the
+transactions with a queued request) instead of scanning every
+instance. The operation trace is recorded
 append-only in dispatch order (already sorted — no final sort), and
 finished transactions retire from every per-event scan. A committed
 transaction that retains no lock sheds its instance's per-attempt
@@ -131,9 +133,8 @@ from repro.sim.network import NetworkConfig, NetworkModel
 from repro.sim.observe import ObserveConfig, ObserverHub
 from repro.sim.policies import Decision, Policy, make_policy
 from repro.sim.replication import ReplicaManager
-from repro.sim.waitsfor import WaitsForGraph
 from repro.sim.workload import NO_READS, WorkloadSpec
-from repro.util.graphs import find_cycle, find_cycle_ints
+from repro.util.graphs import find_cycle_ints
 
 __all__ = ["SimulationConfig", "Simulator", "simulate"]
 
@@ -474,21 +475,6 @@ class Simulator:
         self._policy_pure_wait = (
             type(self.policy).on_conflict is Policy.on_conflict
         )
-        # The waits-for graph is maintained incrementally for the
-        # policies that consume it (the periodic detector, and the
-        # blocking policy's final deadlock verdict); the deadlock-free
-        # policies skip the bookkeeping entirely.
-        self._waits_for: WaitsForGraph | None = None
-        # Mutation count of the waits-for graph at the last detection
-        # scan that found no cycle (-1 = no clean scan yet): while the
-        # count stands still the graph is unchanged and a rescan would
-        # provably find nothing.
-        self._clean_scan_version = -1
-        if self.policy.uses_detection or self.policy.name == "blocking":
-            self._waits_for = WaitsForGraph()
-            n_sites = len(self._site_names)
-            for sid, site in enumerate(self._site_list):
-                site.observer = self._waits_for.observer(sid, n_sites)
         self._instances = []
         for index, t in enumerate(system):
             inst = _Instance(index)
@@ -916,7 +902,7 @@ class Simulator:
             if holders is None or inst.index not in holders:
                 continue  # defensive: already force-released
             if inst.prepared_since >= 0:
-                queue = site.queue_map(eid)
+                queue = site.queues.get(eid)
                 if queue:
                     instances = self._instances
                     for waiter in queue:
@@ -1328,7 +1314,7 @@ class Simulator:
         """Queued waiters ahead of ``txn`` whose mode conflicts with a
         shared request (i.e. the writers it is queued behind)."""
         ahead = []
-        queue = site.queue_map(eid)
+        queue = site.queues.get(eid)
         if queue:
             for waiter, wmode in queue.items():
                 if waiter == txn:
@@ -1432,7 +1418,7 @@ class Simulator:
         if self._policy_pure_wait:
             return None  # every re-evaluation decision would be WAIT
         site = self._site_list[sid]
-        queue = site.queue_map(eid)
+        queue = site.queues.get(eid)
         if not queue:
             return None
         return self._reevaluate_task(inst, eid, sid, site, queue)
@@ -1582,8 +1568,8 @@ class Simulator:
 
         The one place ``aborts`` and the abort-cause counters change.
         The ``abort`` probe goes out before the status flip, while the
-        victim's waits-for edges still stand (flight-recorder
-        snapshots rebuild the graph from RUNNING instances).
+        victim's queued requests and locks still stand in the lock
+        tables (flight-recorder snapshots read them).
         """
         if inst.status != _RUNNING:
             return  # an earlier frame of this cascade got it first
@@ -1658,17 +1644,29 @@ class Simulator:
     # deadlock machinery
     # ------------------------------------------------------------------
 
+    def _blocked(self) -> set[int]:
+        """The transactions with a queued lock request at some site.
+
+        The union of the lock tables' wait indexes: it costs the
+        blocked transactions, not every instance ever injected.
+        """
+        blocked: set[int] = set()
+        for site in self._site_list:
+            blocked.update(site.wait_index)
+        return blocked
+
     def _wait_for_edges(
         self, txns: Iterable[int] | None = None
     ) -> dict[int, set[int]]:
-        """Waits-for graph rebuilt from scratch: waiter -> holders.
+        """Who waits for whom, rebuilt from the instances: waiter ->
+        holders.
 
-        The reference implementation — the hot path consumes the
-        incrementally maintained :class:`WaitsForGraph` instead; this
-        rebuild remains for the policies that never track the graph
-        and as the oracle the property tests compare against. ``txns``
-        restricts the scan to those transactions (a superset of the
-        waiters, in any order); by default every instance is visited.
+        Each running instance's ``waiting`` cells, to the holders of
+        each. ``txns`` restricts the scan to those transactions (a
+        superset of the waiters, in any order, such as
+        :meth:`_blocked`); by default every instance is visited. The
+        metrics sampler counts its edges over the blocked set, and the
+        tests hold the lock tables' view to this one.
         """
         edges: dict[int, set[int]] = {}
         site_list = self._site_list
@@ -1685,33 +1683,29 @@ class Simulator:
         return edges
 
     def _find_deadlock_cycle(self) -> list[int] | None:
-        """One waits-for cycle, or None.
+        """One waits-for cycle, or None: Theorem 1's deadlock, read
+        from the lock tables.
 
-        The maintained graph supplies the *blocked set* — the whole
-        point of the incremental bookkeeping is that the detector no
-        longer scans every instance ever injected. The edge sets fed to
-        the DFS are then materialized per blocked waiter in exactly the
-        historical construction order (waiting cells in insertion
-        order, holders ascending), so the cycle found — and therefore
-        the victim and every downstream event — is bit-identical to the
-        full-rescan implementation.
+        The search starts from the blocked transactions
+        (:meth:`_blocked`) in ascending id order. A blocked
+        transaction's successors are the holders of the cells it waits
+        at, in the order of its ``waiting`` cells, a cell's holders
+        ascending when it has several. The periodic detector and the
+        end-of-run verdict of the policies without one both call this
+        path, so every policy finds the same cycle in the same tables.
         """
-        wf = self._waits_for
-        if wf is None:
-            edges = self._wait_for_edges()
-            return find_cycle(list(edges), lambda u: edges.get(u, ()))
-        if not wf:
+        blocked = self._blocked()
+        if not blocked:
             return None
         instances = self._instances
         site_list = self._site_list
-        wf_edges = wf._edges
         memo: dict[int, set[int] | tuple] = {}
         empty = ()
 
         def successors(txn: int):
             cached = memo.get(txn)
             if cached is None:
-                if txn in wf_edges:
+                if txn in blocked:
                     cached = set()
                     for eid, sid in instances[txn].waiting:
                         holders = site_list[sid].holders_map(eid)
@@ -1719,8 +1713,7 @@ class Simulator:
                             if len(holders) == 1:
                                 # Sole (exclusive) holder — the common
                                 # cell shape: inserting the one key
-                                # needs no sort to reproduce the
-                                # historical insertion sequence.
+                                # needs no sort.
                                 cached.update(holders)
                             else:
                                 cached.update(sorted(holders))
@@ -1729,21 +1722,11 @@ class Simulator:
                 memo[txn] = cached
             return cached
 
-        return find_cycle_ints(
-            wf.blocked_sorted(), successors, len(instances)
-        )
+        return find_cycle_ints(sorted(blocked), successors, len(instances))
 
     def _on_detect(self) -> None:
-        wf = self._waits_for
-        if wf is not None and wf.mutations == self._clean_scan_version:
-            # Not a single cell changed since a scan that found the
-            # graph acyclic, and edge deletions alone cannot create a
-            # cycle — this scan would provably find nothing.
-            cycle = None
-        else:
-            cycle = self._find_deadlock_cycle()
-            if cycle is None and wf is not None:
-                self._clean_scan_version = wf.mutations
+        """One detector tick: abort the youngest member of a cycle."""
+        cycle = self._find_deadlock_cycle()
         if cycle:
             instances = self._instances
             victim = max(cycle, key=lambda i: instances[i].timestamp)

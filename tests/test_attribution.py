@@ -23,7 +23,11 @@ from repro.io.dot import blame_graph_to_dot
 from repro.sim import ObserveConfig, SimulationConfig, Simulator
 from repro.sim.metrics import SimulationResult
 from repro.sim.observe.attribution import (
+    CONVOY_THRESHOLD,
     SEGMENTS,
+    TOP_CELLS,
+    TOP_EDGES,
+    LatencyAttribution,
     analyze_trace,
     render_report,
     replay_jsonl,
@@ -174,6 +178,22 @@ class TestContentionProfile:
         top_cell = summary["hot_cells"][0]
         assert top_cell["peak_queue"] >= 3
         assert top_cell["convoy_time"] > 0
+
+    def test_summary_limits_are_constants(self):
+        # No caller tunes them, so the engine takes no keyword for
+        # them; the summary still reports the convoy threshold.
+        for knob in ("convoy_threshold", "top_cells", "top_edges"):
+            with pytest.raises(TypeError):
+                LatencyAttribution(**{knob: 1})
+        sim = attributed_run(
+            workload=hotspot_spec(n_entities=24, n_sites=6),
+            max_transactions=120,
+        )
+        summary = sim.result.attribution
+        assert summary["convoy_threshold"] == CONVOY_THRESHOLD == 3
+        assert len(summary["hot_cells"]) == TOP_CELLS
+        blame = summary["blame"]
+        assert blame["edge_count"] > len(blame["edges"]) == TOP_EDGES
 
     def test_blame_graph_shape(self):
         edges = attributed_run().observe.attribution.blame_edge_list()

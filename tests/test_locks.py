@@ -203,3 +203,50 @@ class TestCancelAndBulk:
         mgr.request(1, "x", SHARED)
         mgr.request(2, "x", EXCLUSIVE)
         assert mgr.involved() == [0, 1, 2]
+
+
+class TestReadOnlyViews:
+    """The wait index and the queues, as the detector, the sampler and
+    the flight recorder read them."""
+
+    def test_wait_index_lists_exactly_the_queued_requests(self):
+        mgr = SiteLockManager("s1")
+        mgr.request(0, "x")
+        mgr.request(0, "y")
+        mgr.request(1, "x")
+        mgr.request(1, "y")
+        mgr.request(2, "y")
+        assert {t: set(e) for t, e in mgr.wait_index.items()} == {
+            1: {"x", "y"}, 2: {"y"},
+        }
+        mgr.release(0, "x")  # grants 1 at x
+        assert {t: set(e) for t, e in mgr.wait_index.items()} == {
+            1: {"y"}, 2: {"y"},
+        }
+        mgr.cancel_wait(2, "y")
+        mgr.release_all(0)  # grants 1 at y
+        assert dict(mgr.wait_index) == {}
+
+    def test_queues_keep_fifo_order_and_the_upgrade_in_front(self):
+        mgr = SiteLockManager("s1")
+        mgr.request(0, "x", SHARED)
+        mgr.request(1, "x", SHARED)
+        mgr.request(2, "x", EXCLUSIVE)
+        mgr.request(3, "x", SHARED)
+        assert list(mgr.queues["x"].items()) == [
+            (2, EXCLUSIVE), (3, SHARED),
+        ]
+        mgr.request(0, "x", EXCLUSIVE)  # upgrade: waits at the front
+        assert list(mgr.queues["x"]) == [0, 2, 3]
+        assert "y" not in mgr.queues
+
+    def test_views_reject_writes(self):
+        mgr = SiteLockManager("s1")
+        mgr.request(0, "x")
+        mgr.request(1, "x")
+        with pytest.raises(TypeError):
+            mgr.wait_index[2] = {"x"}
+        with pytest.raises(TypeError):
+            del mgr.queues["x"]
+        assert mgr.waiting_for(1) == ["x"]
+        assert mgr.waiters("x") == [1]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -206,6 +207,43 @@ class TestFlightRecorder:
             with open(dump["waits_for"]) as fh:
                 assert fh.read().startswith("digraph")
 
+    def test_snapshots_are_the_lock_tables(self, tmp_path):
+        """Every dump of the ``wound-wait`` golden case draws exactly
+        the lock tables' waiter -> holder pairs at its moment, and no
+        transaction waits for itself. A snapshot rebuilt from the
+        instances' ``waiting`` cells drew such self-loops mid grant
+        cascade, where ``waiting`` still lists a cell the transaction
+        has just been granted."""
+        sim = Simulator(*_stream_case("wound-wait", _full_observe(tmp_path)))
+        flight = sim.observe.flight
+        dump = flight.dump
+        expected = []
+
+        def dump_and_record(reason):
+            pairs = set()
+            for site in sim.lock_tables().values():
+                for eid in range(len(sim._entity_names)):
+                    for waiter in site.waiters(eid):
+                        pairs.update(
+                            (waiter, holder) for holder in site.holders(eid)
+                        )
+            entry = dump(reason)
+            if entry is not None:
+                expected.append(pairs)
+            return entry
+
+        flight.dump = dump_and_record
+        sim.run()
+        assert len(expected) == len(flight.dumps) > 0
+        for pairs, entry in zip(expected, flight.dumps):
+            with open(entry["waits_for"]) as fh:
+                arcs = {
+                    (int(waiter), int(holder)) for waiter, holder
+                    in re.findall(r"n(\d+) -> n(\d+);", fh.read())
+                }
+            assert arcs == pairs, entry["waits_for"]
+            assert all(waiter != holder for waiter, holder in arcs)
+
     def test_dump_cap(self, tmp_path):
         from repro.sim.observe import FlightRecorder
 
@@ -357,8 +395,8 @@ class TestProbeStreamGolden:
         "wound-wait": {
             "trace": "3e5c9d6ce94caa5da9f601ba658bb32a"
                      "413663c0a095f4a7f29c524c58949a8c",
-            "flight": "a169fac325ac0f66319ff8c3a5549e2e"
-                      "8139a3916011cb1072806a13a0af3fa5",
+            "flight": "9bf73ba0e0434c90d7e86ca698486f51"
+                      "26ef2ce2400dbbb86889f62f58619192",
             "attribution": "6204e59de5ac68438d4f1aec5d540623"
                            "9a276dd25e59b24a223eee65955919e3",
             "timeseries": "b4a4be7baee15ff624ef6d705b86c203"
@@ -369,8 +407,8 @@ class TestProbeStreamGolden:
         "chaos": {
             "trace": "e8f4b8bcf7905d21bb6757989ff7195e"
                      "9cfb29998f07e442613d5b9212b5e1fd",
-            "flight": "74061179034370c3f6bb38cf9b737ca8"
-                      "433fd288a958077de268c06fb467a08a",
+            "flight": "0e2089388a9cc7dcc835c78a3a6ec177"
+                      "5dafcc7852515fdb2fad92a5ccd87bf1",
             "attribution": "128db54f295127251044586efdbaa652"
                            "1481e5e681c47a9ea3b222df8d9c7ad5",
             "timeseries": "eeb670ebd7db0df2220d79ebccd2badc"
@@ -391,8 +429,8 @@ class TestProbeStreamGolden:
         "sampled": {
             "trace": "7b611a9062e9a18d09eba80474ee21d0"
                      "f4f8153af32ea156c87ffa969398be65",
-            "flight": "a169fac325ac0f66319ff8c3a5549e2e"
-                      "8139a3916011cb1072806a13a0af3fa5",
+            "flight": "9bf73ba0e0434c90d7e86ca698486f51"
+                      "26ef2ce2400dbbb86889f62f58619192",
             "attribution": "c9fe365ce95ba5d30e7b9fe5f630776a"
                            "992140585dc83731bc3e41c6221bfe46",
             "timeseries": "b4a4be7baee15ff624ef6d705b86c203"

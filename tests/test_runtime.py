@@ -19,6 +19,8 @@ from repro.sim.runtime import (
 from repro.core.entity import DatabaseSchema
 from repro.core.system import TransactionSystem
 from repro.core.transaction import Transaction
+from repro.sim.observe import ObserveConfig
+from repro.sim.policies import policy_names
 from repro.sim.workload import WorkloadSpec, random_system
 
 from tests.helpers import access_code, record_trace, seq
@@ -248,13 +250,21 @@ class TestFastPathSurface:
         assert sim.site_names() is names
         assert list(names) == sorted(sim.system.schema.sites)
 
-    def test_deadlock_free_policies_skip_graph_tracking(self):
-        for policy in ("wound-wait", "wait-die", "timeout"):
-            assert Simulator(deadlock_pair(), policy)._waits_for is None
-        for policy in ("blocking", "detect"):
-            assert (
-                Simulator(deadlock_pair(), policy)._waits_for is not None
-            )
+    def test_only_observation_observes_the_lock_tables(self):
+        # The lock tables are the one record of who waits: no policy
+        # keeps a copy of them, so a site's observer slot stays empty
+        # unless an observer hub attaches its cell probes.
+        observed = SimulationConfig(
+            observe=ObserveConfig(metrics_window=5.0)
+        )
+        for policy in policy_names():
+            sim = Simulator(deadlock_pair(), policy)
+            sim.run()
+            sites = sim.lock_tables().values()
+            assert all(site.observer is None for site in sites), policy
+            sim = Simulator(deadlock_pair(), policy, observed)
+            sites = sim.lock_tables().values()
+            assert all(site.observer is not None for site in sites), policy
 
     def test_trace_entries_are_bare_and_replayable(self):
         # The trace is appended in dispatch order — which *is*

@@ -1,10 +1,10 @@
-"""The incrementally maintained waits-for graph.
+"""Who waits, read from the lock tables.
 
-Unit tests pin the observer protocol's edge accounting (reference
-counts across multi-cell waits, grant hand-offs, cancellations), and
-the hypothesis invariant asserts the fast-path contract end to end:
-after *every* dispatched event of a real simulation, the maintained
-graph equals a from-scratch rebuild over the live instances — for
+The deadlock detector starts its search from the blocked set, the
+union of the sites' wait indexes. The hypothesis invariant asserts it
+end to end: after *every* dispatched event of a real simulation, under
+every policy, the blocked set equals the waiters of a from-scratch
+rebuild over the live instances (``Simulator._wait_for_edges``) — for
 closed and open runs, with commit protocols, failures, replication,
 and shared read locks in the mix.
 """
@@ -15,109 +15,57 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.system import TransactionSystem
+from repro.paper.figures import figure1
+from repro.sim.policies import policy_names
 from repro.sim.runtime import SimulationConfig, Simulator
-from repro.sim.waitsfor import WaitsForGraph
 from repro.sim.workload import WorkloadSpec, random_system
 
 seeds = st.integers(min_value=0, max_value=5_000)
-# The graph is maintained exactly for the policies that consume it:
-# the periodic detector and the blocking policy's final verdict.
-graph_policies = st.sampled_from(["blocking", "detect"])
-
-
-class TestWaitsForGraph:
-    def test_empty(self):
-        wf = WaitsForGraph()
-        assert not wf
-        assert wf.cycle() is None
-        assert wf.as_sets() == {}
-        assert wf.waiters() == []
-
-    def test_wait_then_hold_order(self):
-        wf = WaitsForGraph()
-        wf.hold(0, 10)
-        wf.wait(0, 11)
-        assert wf.as_sets() == {11: {10}}
-        # Hand-off: holder leaves, waiter becomes holder.
-        wf.unhold(0, 10)
-        wf.unwait(0, 11)
-        wf.hold(0, 11)
-        assert wf.as_sets() == {}
-
-    def test_new_holder_gains_edges_from_waiters(self):
-        wf = WaitsForGraph()
-        wf.hold(0, 1)
-        wf.wait(0, 2)
-        wf.wait(0, 3)
-        wf.unhold(0, 1)
-        wf.unwait(0, 2)
-        wf.hold(0, 2)  # 3 now waits for 2
-        assert wf.as_sets() == {3: {2}}
-
-    def test_refcounts_across_cells(self):
-        wf = WaitsForGraph()
-        # txn 5 holds two entities; txn 6 waits for both.
-        wf.hold(0, 5)
-        wf.hold(1, 5)
-        wf.wait(0, 6)
-        wf.wait(1, 6)
-        assert wf.as_sets() == {6: {5}}
-        wf.unwait(0, 6)
-        # Still one edge left through the second cell.
-        assert wf.as_sets() == {6: {5}}
-        wf.unwait(1, 6)
-        assert wf.as_sets() == {}
-
-    def test_cycle_detection_and_order(self):
-        wf = WaitsForGraph()
-        wf.hold(0, 1)
-        wf.wait(0, 2)
-        wf.hold(1, 2)
-        wf.wait(1, 1)
-        cycle = wf.cycle()
-        assert cycle is not None
-        assert sorted(cycle) == [1, 2]
-        wf.unwait(1, 1)
-        assert wf.cycle() is None
-
-    def test_site_observer_keys_do_not_collide(self):
-        wf = WaitsForGraph()
-        a = wf.observer(0, 2)  # site 0 of 2
-        b = wf.observer(1, 2)  # site 1 of 2
-        a.hold(0, 1)
-        b.hold(0, 2)  # same entity id, different site
-        a.wait(0, 3)
-        assert wf.as_sets() == {3: {1}}
-        b.wait(0, 3)
-        assert wf.as_sets() == {3: {1, 2}}
+policies = st.sampled_from(policy_names())
 
 
 def _checked_run(system, policy, config):
-    """Run a simulation asserting incremental == rebuild per event."""
+    """Run a simulation asserting blocked set == rebuild per event."""
     sim = Simulator(system, policy, config)
-    assert sim._waits_for is not None
     dispatch = sim._registry.dispatch
 
     failures = []
 
     def checking_dispatch(payload):
         dispatch(payload)
-        incremental = sim._waits_for.as_sets()
-        rebuilt = sim._wait_for_edges()
-        if incremental != rebuilt and len(failures) < 3:
-            failures.append((payload, incremental, rebuilt))
+        blocked = sorted(sim._blocked())
+        rebuilt = sorted(sim._wait_for_edges())
+        if blocked != rebuilt and len(failures) < 3:
+            failures.append((payload, blocked, rebuilt))
 
     # The registry instance is per-simulator; shadowing dispatch on it
     # hooks every event the run processes.
     sim._registry.dispatch = checking_dispatch
     result = sim.run()
     assert failures == [], failures[:1]
-    assert sim._waits_for.as_sets() == sim._wait_for_edges()
+    assert sorted(sim._blocked()) == sorted(sim._wait_for_edges())
     return sim, result
 
 
+class TestBlockedSet:
+    def test_figure1_deadlock_spans_both_sites(self):
+        # Figure 1 deadlocks at seed 1: T1 waits for z at site2, T2
+        # for y and T3 for x at site1. The blocked set is the union of
+        # both sites' wait indexes, and the verdict's cycle is the one
+        # a fresh search of the final tables finds.
+        sim = Simulator(figure1(), "blocking", SimulationConfig(seed=1))
+        result = sim.run()
+        assert result.deadlocked
+        tables = sim.lock_tables()
+        assert set(tables["site1"].wait_index) == {1, 2}
+        assert set(tables["site2"].wait_index) == {0}
+        assert sim._blocked() == {0, 1, 2}
+        assert result.deadlock_cycle == (0, 2, 1)
+        assert sim._find_deadlock_cycle() == [0, 2, 1]
+
+
 class TestIncrementalEqualsRebuild:
-    @given(seed=seeds, policy=graph_policies)
+    @given(seed=seeds, policy=policies)
     @settings(max_examples=30, deadline=None)
     def test_closed_batch(self, seed, policy):
         spec = WorkloadSpec(
@@ -130,7 +78,7 @@ class TestIncrementalEqualsRebuild:
             SimulationConfig(seed=seed, max_time=400.0),
         )
 
-    @given(seed=seeds, policy=graph_policies)
+    @given(seed=seeds, policy=policies)
     @settings(max_examples=15, deadline=None)
     def test_open_system_with_failures_and_reads(self, seed, policy):
         spec = WorkloadSpec(
