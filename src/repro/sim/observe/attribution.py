@@ -2,9 +2,11 @@
 
 :class:`LatencyAttribution` consumes the :class:`~repro.sim.observe.
 probes.ObserverHub` probe stream (online, as a
-:class:`~repro.sim.observe.probes.ProbeSink`, or offline over a saved
-JSONL trace via :func:`replay_jsonl`) and decomposes every
-transaction's measured latency into conserved segments:
+:class:`~repro.sim.observe.probes.ProbeSink` reading the hub's probe
+log a chunk at a time, or offline over a saved JSONL trace via
+:func:`replay_jsonl`; both run the one loop of
+:meth:`LatencyAttribution.intake`) and decomposes every transaction's
+measured latency into conserved segments:
 
 =========== =========================================================
 segment     time a transaction spent ...
@@ -69,7 +71,12 @@ summary is marked ``sampled: true`` accordingly.
 
 from __future__ import annotations
 
-from repro.sim.observe.probes import CELL_KINDS, EVENT_TXN_ARG, ProbeSink
+from repro.sim.observe.probes import (
+    CELL_KINDS,
+    EVENT_TXN_ARG,
+    PROBE_KINDS,
+    ProbeSink,
+)
 
 __all__ = [
     "LatencyAttribution",
@@ -89,6 +96,9 @@ SEGMENTS = (
 (
     _ADMISSION, _LOCK, _COORD, _FANOUT, _SERVICE, _COMMIT, _LOGFORCE,
 ) = range(7)
+
+#: the probe kinds the engine reads: every kind but ``counter``
+KINDS = frozenset(PROBE_KINDS) - {"counter"}
 
 #: a cell's waiter queue at least this deep counts as a convoy
 CONVOY_THRESHOLD = 3
@@ -251,143 +261,160 @@ class LatencyAttribution:
 
     def feed(self, kind: str, now: float, args: tuple) -> None:
         """Consume one probe (raw or replayed); order matters."""
-        if now > self._end:
-            self._end = now
+        self.intake((now, kind, args))
+
+    def intake(self, log) -> None:
+        """Consume a flat run of probe records, three slots each —
+        time, kind, args — in stream order, skipping the kinds the
+        engine does not read (:data:`KINDS`)."""
         states = self._states
-        if kind == "event" or kind == "sched":
-            ev = args[0]
-            if ev == "net_deliver":
-                # A chaos-wrapped logical send: the wrapper's payload
-                # slot carries the inner message, so recursing at send
-                # time opens the same in-network interval a direct send
-                # would. The matching inner *event* probe fires at real
-                # delivery (the channel re-dispatches through the
-                # registry) and closes it; retransmitted and duplicated
-                # copies travel as ``net_redeliver`` and stay invisible
-                # — a lossy link simply stretches the open interval,
-                # folding retransmission waits into the fanout and
-                # coordinator segments.
-                if kind == "sched":
-                    self.feed("sched", now, tuple(args[4]))
-                return
-            idx = EVENT_TXN_ARG.get(ev)
-            if idx is None:
-                return
-            st = states.get(args[idx])
-            if kind == "event":
-                if ev == "begin":
-                    if st is None:
-                        states[args[1]] = _TxnState(args[1], now)
-                elif ev == "op_done":
-                    if (
-                        st is not None and not st.done
-                        and st.attempt == args[3] and st.in_service > 0
-                    ):
-                        self._advance(st, now)
-                        st.in_service -= 1
-                elif ev == "issue" or ev == "replica_req":
-                    attempt = args[3] if ev == "issue" else args[4]
-                    if (
-                        st is not None and not st.done
-                        and st.attempt == attempt and st.in_net > 0
-                    ):
-                        self._advance(st, now)
-                        st.in_net -= 1
-                elif ev == "dur_flush":
-                    # A forced write completed (or was cancelled by a
-                    # crash — the heap event fires either way, keeping
-                    # the sched/event pair balanced).
-                    if (
-                        st is not None and not st.done
-                        and st.in_flush > 0
-                    ):
-                        self._advance(st, now)
-                        st.in_flush -= 1
-                elif ev == "restart":
-                    if (
-                        st is not None and st.aborted
-                        and st.attempt == args[2]
-                    ):
-                        self._advance(st, now)
-                        st.aborted = False
-                        st.attempt_start = now
-                # timeout / cm_* carry no segment boundary of their own
-            else:  # sched: a message/service interval opens now
-                if st is None or st.done:
-                    return
-                if ev == "op_done":
-                    if st.attempt == args[3]:
-                        self._advance(st, now)
-                        st.in_service += 1
-                elif ev == "issue" or ev == "replica_req":
-                    attempt = args[3] if ev == "issue" else args[4]
-                    if st.attempt == attempt:
-                        self._advance(st, now)
-                        st.in_net += 1
-                elif ev == "dur_flush":
-                    # A forced log write opens at one of the txn's
-                    # sites: inside the prepared window this interval
-                    # is log-force, not commit, time.
-                    self._advance(st, now)
-                    st.in_flush += 1
-        elif kind in CELL_KINDS:
-            cell = (args[0], args[1])
-            txn = args[2]
-            if kind == "wait":
+        advance = self._advance
+        reads = KINDS
+        end = self._end
+        it = iter(log)
+        for now, kind, args in zip(it, it, it):
+            if kind not in reads:
+                continue
+            if now > end:
+                end = now
+            if kind == "event" or kind == "sched":
+                ev = args[0]
+                if ev == "net_deliver":
+                    # A chaos-wrapped logical send: the wrapper's
+                    # payload slot carries the inner message, so
+                    # recursing at send time opens the same in-network
+                    # interval a direct send would. The matching inner
+                    # *event* probe fires at real delivery (the channel
+                    # re-dispatches through the registry) and closes
+                    # it; retransmitted and duplicated copies travel as
+                    # ``net_redeliver`` and stay invisible — a lossy
+                    # link simply stretches the open interval, folding
+                    # retransmission waits into the fanout and
+                    # coordinator segments.
+                    if kind == "sched":
+                        self.feed("sched", now, tuple(args[4]))
+                    continue
+                idx = EVENT_TXN_ARG.get(ev)
+                if idx is None:
+                    continue
+                st = states.get(args[idx])
+                if kind == "event":
+                    if ev == "begin":
+                        if st is None:
+                            states[args[1]] = _TxnState(args[1], now)
+                    elif ev == "op_done":
+                        if (
+                            st is not None and not st.done
+                            and st.attempt == args[3] and st.in_service > 0
+                        ):
+                            advance(st, now)
+                            st.in_service -= 1
+                    elif ev == "issue" or ev == "replica_req":
+                        attempt = args[3] if ev == "issue" else args[4]
+                        if (
+                            st is not None and not st.done
+                            and st.attempt == attempt and st.in_net > 0
+                        ):
+                            advance(st, now)
+                            st.in_net -= 1
+                    elif ev == "dur_flush":
+                        # A forced write completed (or was cancelled by
+                        # a crash — the heap event fires either way,
+                        # keeping the sched/event pair balanced).
+                        if (
+                            st is not None and not st.done
+                            and st.in_flush > 0
+                        ):
+                            advance(st, now)
+                            st.in_flush -= 1
+                    elif ev == "restart":
+                        if (
+                            st is not None and st.aborted
+                            and st.attempt == args[2]
+                        ):
+                            advance(st, now)
+                            st.aborted = False
+                            st.attempt_start = now
+                    # timeout / cm_* carry no segment boundary of their
+                    # own
+                elif st is not None and not st.done:
+                    # sched: a message/service interval opens now
+                    if ev == "op_done":
+                        if st.attempt == args[3]:
+                            advance(st, now)
+                            st.in_service += 1
+                    elif ev == "issue" or ev == "replica_req":
+                        attempt = args[3] if ev == "issue" else args[4]
+                        if st.attempt == attempt:
+                            advance(st, now)
+                            st.in_net += 1
+                    elif ev == "dur_flush":
+                        # A forced log write opens at one of the txn's
+                        # sites: inside the prepared window this
+                        # interval is log-force, not commit, time.
+                        advance(st, now)
+                        st.in_flush += 1
+            elif kind in CELL_KINDS:
+                cell = (args[0], args[1])
+                txn = args[2]
+                if kind == "wait":
+                    st = states.get(txn)
+                    if st is not None and not st.done:
+                        advance(st, now)
+                        st.wait_cells[cell] = now
+                        waiters = self._waiters.setdefault(cell, {})
+                        waiters[txn] = None
+                        stats = self._cell_stats(cell)
+                        stats.waits += 1
+                        stats.set_depth(len(waiters), now)
+                elif kind == "unwait":
+                    st = states.get(txn)
+                    if st is not None and cell in st.wait_cells:
+                        advance(st, now)
+                        del st.wait_cells[cell]
+                        waiters = self._waiters.get(cell)
+                        if waiters is not None and txn in waiters:
+                            del waiters[txn]
+                            self._cell_stats(cell).set_depth(
+                                len(waiters), now
+                            )
+                elif kind == "hold":
+                    self._advance_waiters(cell, now)
+                    self._holders.setdefault(cell, set()).add(txn)
+                    self._held_by.setdefault(txn, {})[cell] = None
+                else:  # unhold
+                    self._advance_waiters(cell, now)
+                    holders = self._holders.get(cell)
+                    if holders is not None:
+                        holders.discard(txn)
+                    cells = self._held_by.get(txn)
+                    if cells is not None:
+                        cells.pop(cell, None)
+                        if not cells and txn in self._prepared:
+                            # Release fan-out drained: the holder stops
+                            # counting as a blocking coordinator.
+                            self._prepared.discard(txn)
+            elif kind == "arrive":
+                txn = args[0]
+                if txn not in states:
+                    states[txn] = _TxnState(txn, now)
+            elif kind == "prepared":
+                txn = args[0]
                 st = states.get(txn)
                 if st is not None and not st.done:
-                    self._advance(st, now)
-                    st.wait_cells[cell] = now
-                    waiters = self._waiters.setdefault(cell, {})
-                    waiters[txn] = None
-                    stats = self._cell_stats(cell)
-                    stats.waits += 1
-                    stats.set_depth(len(waiters), now)
-            elif kind == "unwait":
-                st = states.get(txn)
-                if st is not None and cell in st.wait_cells:
-                    self._advance(st, now)
-                    del st.wait_cells[cell]
-                    waiters = self._waiters.get(cell)
-                    if waiters is not None and txn in waiters:
-                        del waiters[txn]
-                        self._cell_stats(cell).set_depth(len(waiters), now)
-            elif kind == "hold":
-                self._advance_waiters(cell, now)
-                self._holders.setdefault(cell, set()).add(txn)
-                self._held_by.setdefault(txn, {})[cell] = None
-            else:  # unhold
-                self._advance_waiters(cell, now)
-                holders = self._holders.get(cell)
-                if holders is not None:
-                    holders.discard(txn)
-                cells = self._held_by.get(txn)
-                if cells is not None:
-                    cells.pop(cell, None)
-                    if not cells and txn in self._prepared:
-                        # Release fan-out drained: the holder stops
-                        # counting as a blocking coordinator.
-                        self._prepared.discard(txn)
-        elif kind == "arrive":
-            txn = args[0]
-            if txn not in states:
-                states[txn] = _TxnState(txn, now)
-        elif kind == "prepared":
-            txn = args[0]
-            st = states.get(txn)
-            if st is not None and not st.done:
-                self._advance(st, now)
-                st.prepared = True
-                st.exec_done = now
-            for cell in self._held_by.get(txn, ()):
-                self._advance_waiters(cell, now)
-            self._prepared.add(txn)
-        elif kind == "commit":
-            st = states.get(args[0])
-            if st is not None and not st.done:
-                self._finish(st, now)
-        elif kind == "abort":
-            self._on_abort(*args, now)
+                    advance(st, now)
+                    st.prepared = True
+                    st.exec_done = now
+                for cell in self._held_by.get(txn, ()):
+                    self._advance_waiters(cell, now)
+                self._prepared.add(txn)
+            elif kind == "commit":
+                st = states.get(args[0])
+                if st is not None and not st.done:
+                    self._finish(st, now)
+            else:  # abort
+                self._on_abort(*args, now)
+        self._end = end
 
     def _on_abort(
         self, txn: int, attempt: int, cause: str, now: float
@@ -608,21 +635,22 @@ class LatencyAttribution:
 class LatencyAttributor(ProbeSink):
     """The online adapter: a probe sink wrapping the engine.
 
-    Its ``on_probe`` is the engine's :meth:`~LatencyAttribution.feed`
-    itself, so a probe costs no call frame on top of the engine's. At
+    It reads the hub's probe log a chunk at a time (see
+    :class:`~repro.sim.observe.probes.ProbeSink`): its ``on_chunk`` is
+    the engine's :meth:`~LatencyAttribution.intake` itself, one loop
+    over the chunk that skips ``counter`` probes, so a probe costs no
+    call frame of its own. ``on_probe`` is the engine's
+    :meth:`~LatencyAttribution.feed`, the same loop over one record. At
     finalize it attaches the summary as ``result.attribution`` (a
     plain dict, so it survives ``to_dict``/``from_json`` and pickling
     to sweep workers unchanged).
     """
 
-    #: every kind but ``counter``, which ``feed`` reads nothing from
-    probe_kinds = frozenset({
-        "event", "sched", "wait", "unwait", "hold", "unhold", "arrive",
-        "prepared", "commit", "abort",
-    })
+    probe_kinds = KINDS
 
     def __init__(self, sample_every: int = 1):
         self.engine = LatencyAttribution(sample_every=sample_every)
+        self.on_chunk = self.engine.intake
         self.on_probe = self.engine.feed
         self._entity_names: list[str] = []
         self._site_names: list[str] = []
@@ -657,20 +685,26 @@ def replay_jsonl(records) -> LatencyAttribution:
     emits (and ``load_trace`` returns); cells are keyed by their
     resolved names and each abort record brings its own cause, so
     offline results match the online sink wherever the ring kept the
-    whole run. Counter records carry nothing the engine needs.
+    whole run. Counter records carry nothing the engine needs. The
+    records are turned back into raw probes and run through the same
+    :meth:`~LatencyAttribution.intake` loop the online sink uses.
     """
-    engine = LatencyAttribution()
+    log = []
     for rec in records:
         kind = rec.get("kind")
-        t = rec.get("t", 0.0)
         if kind in ("event", "sched"):
-            engine.feed(kind, t, (rec["event"], *rec["args"]))
+            args = (rec["event"], *rec["args"])
         elif kind in CELL_KINDS:
-            engine.feed(kind, t, (rec["site"], rec["entity"], rec["txn"]))
+            args = (rec["site"], rec["entity"], rec["txn"])
         elif kind == "abort":
-            engine.feed(kind, t, (rec["txn"], rec["attempt"], rec["cause"]))
+            args = (rec["txn"], rec["attempt"], rec["cause"])
         elif kind in ("arrive", "prepared", "commit"):
-            engine.feed(kind, t, (rec["txn"],))
+            args = (rec["txn"],)
+        else:
+            continue
+        log += (rec.get("t", 0.0), kind, args)
+    engine = LatencyAttribution()
+    engine.intake(log)
     return engine
 
 

@@ -35,23 +35,34 @@ when — it attaches:
   abort entry point was given, emitted before the victim's status
   flips).
 
-Each sink declares the probe kinds it reads
-(:attr:`ProbeSink.probe_kinds`). At attach the hub builds one sink
-tuple per kind, in sink order, and every seam hands a probe to its
-kind's tuple alone; a seam whose kind no sink reads loops over an
-empty tuple.
+A sink is fed one of two ways (see :class:`ProbeSink`):
+
+* a *live* sink — the metrics sampler, the flight recorder, a custom
+  sink — gets each probe as it fires, because it reads the simulator
+  then (a window close counts the lock tables' waits-for edges, a
+  dump snapshots them mid-handler). Each live sink declares the probe
+  kinds it reads (:attr:`ProbeSink.probe_kinds`); at attach the hub
+  builds one tuple of live sinks per kind, in sink order, and a seam
+  hands a probe to its kind's tuple alone;
+* a *chunk reader* — the tracer and the attribution engine, whose
+  output depends on the stream alone — reads the hub's probe log. The
+  hub keeps that log only when a chunk reader is attached: every seam
+  appends its probe to it, three flat slots per probe (time, kind,
+  args), and every :data:`CHUNK` probes, and once more at
+  :meth:`ObserverHub.finalize`, the hub hands the log to each chunk
+  reader in sink order and clears it. A chunk holds every kind; a
+  reader skips the kinds it does not read.
 
 When 1-in-N transaction sampling is requested (``sample_every > 1``),
 the *sample-aware* sinks (the tracer and the attribution engine) sit
-behind one filter sink that withholds the per-transaction probes of
+behind one filter that withholds the per-transaction probes of
 unsampled transactions, while global probes — counters, detector and
 crash events — and every ``abort`` / ``prepared`` / ``commit`` probe
 still flow, keeping the per-cause abort counts and the
-blocked-on-coordinator classification exact. The filter reads the
-union of its sinks' kinds and hands a kept probe only to those that
-read it. Whole-stream consumers (the metrics sampler, the flight
-recorder, custom sinks) always see every probe of the kinds they
-read.
+blocked-on-coordinator classification exact. The filter is a chunk
+reader too: it filters each chunk and hands the records it keeps to
+its sinks as one chunk. Live sinks always see every probe of the
+kinds they read.
 
 With ``config.observe`` unset nothing attaches: the per-event seams
 run unwrapped and the probe slot stays ``None``. The transparency
@@ -153,16 +164,38 @@ class ProbeSink:
     carries is dispatched — and probed — as its own event at delivery
     time.
 
-    ``probe_kinds`` names the kinds ``on_probe`` reads, as a frozenset
-    of the names above; the hub delivers only those, in stream order.
-    ``None``, the default, receives every kind. A declaration is a
-    promise: a sink that reads a kind it did not declare silently
-    misses it. ``tests/test_observe.py::TestDeclaredKinds`` holds the
-    stock sinks to theirs by feeding each the whole stream and only
-    its declared kinds, and comparing the outputs.
+    ``probe_kinds`` names the kinds the sink reads, as a frozenset of
+    the names above. ``None``, the default, reads every kind. A
+    declaration is a promise: a sink that reads a kind it did not
+    declare silently misses it. ``tests/test_observe.py::
+    TestDeclaredKinds`` holds the stock sinks to theirs by feeding each
+    the whole stream and only its declared kinds, and comparing the
+    outputs.
+
+    The hub feeds a sink one of two ways:
+
+    * **live** (``on_chunk`` left ``None``, the default): ``on_probe``
+      is called as each probe fires, with only the declared kinds, in
+      stream order; every live sink that reads a probe's kind gets it
+      before the next probe fires, in attach order. A live sink may
+      read the simulator's state, which is exactly the state the probe
+      reports.
+    * **by chunk** (a sink that defines ``on_chunk(log)``): the hub
+      hands it its probe log, a flat list holding three slots per
+      probe — time, kind, args — in stream order and with every kind,
+      each time the log reaches :data:`CHUNK` probes and once more at
+      :meth:`ObserverHub.finalize`, before any sink's ``finalize``.
+      A chunk reader skips the kinds it does not read, must not read
+      the simulator (the stream has run ahead of what it is given) and
+      must neither keep nor change the list, which the hub clears once
+      every reader has had it. Between chunks it lags the run by up to
+      one chunk, and a run that raises may leave that chunk
+      undelivered. The hub never calls a chunk reader's ``on_probe``.
     """
 
     probe_kinds: frozenset[str] | None = None
+    #: a chunk reader's entry point; ``None`` makes the sink live
+    on_chunk = None
 
     def bind(self, sim) -> None:
         """Called once at attach time with the simulator."""
@@ -205,6 +238,11 @@ PROBE_KINDS = (
 #: the lock-cell probe kinds, all four carrying ``(sid, eid, txn)``
 CELL_KINDS = frozenset({"wait", "unwait", "hold", "unhold"})
 
+#: probes the hub's log takes before it goes to the chunk readers.
+#: Larger chunks cost fewer reader calls per probe and keep more
+#: probes' args alive until they are read.
+CHUNK = 4096
+
 
 def _routes(sinks) -> dict[str, tuple]:
     """One tuple per probe kind: the sinks that read it, in order."""
@@ -218,32 +256,52 @@ def _routes(sinks) -> dict[str, tuple]:
 
 
 class _SampleFilter(ProbeSink):
-    """1-in-N transaction sampling in front of sample-aware sinks."""
+    """1-in-N transaction sampling in front of sample-aware sinks.
+
+    It reads chunks, and its sinks must too: each chunk's kept records
+    go to every sink as one chunk. ``on_probe`` passes a kept probe to
+    the sinks that read its kind, through their ``on_probe``.
+    """
 
     def __init__(self, sinks: list[ProbeSink], every: int):
         self.sinks = tuple(sinks)
         self.every = every
-        kinds = [sink.probe_kinds for sink in self.sinks]
-        self.probe_kinds = (
-            None if None in kinds else frozenset().union(*kinds)
-        )
         self._routes = _routes(self.sinks)
 
     def bind(self, sim) -> None:
         for sink in self.sinks:
             sink.bind(sim)
 
+    def _kept(self, log) -> list:
+        """The records of the flat ``log`` that the sample keeps."""
+        every = self.every
+        kept = []
+        it = iter(log)
+        for record in zip(it, it, it):
+            kind = record[1]
+            if kind in _SAMPLE_ALWAYS:
+                kept += record
+                continue
+            args = record[2]
+            if kind == "event" or kind == "sched":
+                idx = EVENT_TXN_ARG.get(args[0])
+                if idx is not None and args[idx] % every:
+                    continue
+            elif kind == "arrive":
+                if args[0] % every:
+                    continue
+            elif args[2] % every:  # cell probes: (sid, eid, txn)
+                continue
+            kept += record
+        return kept
+
+    def on_chunk(self, log) -> None:
+        kept = self._kept(log)
+        for sink in self.sinks:
+            sink.on_chunk(kept)
+
     def on_probe(self, kind: str, time: float, args: tuple) -> None:
-        if kind in _SAMPLE_ALWAYS:
-            keep = True
-        elif kind == "event" or kind == "sched":
-            idx = EVENT_TXN_ARG.get(args[0])
-            keep = idx is None or args[idx] % self.every == 0
-        elif kind == "arrive":
-            keep = args[0] % self.every == 0
-        else:  # cell probes: (sid, eid, txn)
-            keep = args[2] % self.every == 0
-        if keep:
+        if self._kept((time, kind, args)):
             for sink in self._routes[kind]:
                 sink.on_probe(kind, time, args)
 
@@ -297,8 +355,8 @@ class ObserverHub:
             else None
         )
         # 1-in-N sampling: the tracer and the attribution engine are
-        # sample-aware and share one filter; whole-stream sinks always
-        # see everything.
+        # sample-aware and share one filter; live sinks always see
+        # everything.
         aware = [s for s in (self.tracer, self.attribution) if s is not None]
         if aware and config.sample_every > 1:
             aware = [_SampleFilter(aware, config.sample_every)]
@@ -307,18 +365,22 @@ class ObserverHub:
         ] + aware
         self._sinks.extend(extra_sinks)
         self._attached = False
-        #: probe kind -> the sinks that read it, in ``_sinks`` order;
-        #: built at attach
-        self._routes: dict[str, tuple] = {}
+        #: the chunk readers, in ``_sinks`` order; built at attach
+        self._readers: tuple = ()
+        #: the probes not yet read, three flat slots each; ``None``
+        #: while no chunk reader is attached
+        self._log: list | None = None
 
     # ------------------------------------------------------------------
     # emission
     # ------------------------------------------------------------------
 
-    def _emit(self, kind: str, args: tuple) -> None:
-        t = self.sim._now
-        for sink in self._routes[kind]:
-            sink.on_probe(kind, t, args)
+    def _flush(self) -> None:
+        """Hand the log to every chunk reader, then clear it."""
+        log = self._log
+        for reader in self._readers:
+            reader.on_chunk(log)
+        log.clear()
 
     # ------------------------------------------------------------------
     # attachment
@@ -327,9 +389,9 @@ class ObserverHub:
     def attach(self) -> None:
         """Install every probe on the simulator (idempotent).
 
-        Every route looks ``sink.on_probe`` up at each call, so a
-        wrapper installed on a sink after attach still sees its
-        probes.
+        Every route looks ``sink.on_probe`` up at each call, and every
+        flush ``reader.on_chunk``, so a wrapper installed after attach
+        on the entry point the hub feeds still sees its sink's probes.
         """
         if self._attached:
             return
@@ -337,19 +399,46 @@ class ObserverHub:
         sim = self.sim
         for sink in self._sinks:
             sink.bind(sim)
-        self._routes = _routes(self._sinks)
+        self._readers = tuple(
+            s for s in self._sinks if s.on_chunk is not None
+        )
+        # probe kind -> the live sinks that read it, in sink order
+        routes = _routes([s for s in self._sinks if s.on_chunk is None])
+        log = self._log = [] if self._readers else None
+        limit = 3 * CHUNK
+        flush = self._flush
+
+        def emit(
+            kind, args, _sim=sim, _routes=routes, _log=log, _limit=limit,
+            _flush=flush,
+        ):
+            now = _sim._now
+            for sink in _routes[kind]:
+                sink.on_probe(kind, now, args)
+            if _log is not None:
+                _log.append(now)
+                _log.append(kind)
+                _log.append(args)
+                if len(_log) >= _limit:
+                    _flush()
 
         # 1. Per-event probe through the registry's dispatch seam.
         registry = sim._registry
         handlers = registry._handlers  # shared dict; grows in place
 
         def dispatch(
-            payload, _handlers=handlers, _sinks=self._routes["event"],
-            _sim=sim,
+            payload, _handlers=handlers, _sinks=routes["event"], _sim=sim,
+            _log=log, _limit=limit, _flush=flush,
         ):
             now = _sim._now
             for sink in _sinks:
                 sink.on_probe("event", now, payload)
+            if _log is not None:
+                _log.append(now)
+                _log.append("event")
+                _log.append(payload)
+                if len(_log) >= _limit:
+                    _flush()
             _handlers[payload[0]](*payload[1:])
 
         registry.dispatch = dispatch
@@ -360,9 +449,7 @@ class ObserverHub:
         # boundary of every service interval and network hop.
         orig_schedule = sim.schedule
 
-        def schedule(
-            delay, payload, _orig=orig_schedule, _emit=self._emit
-        ):
+        def schedule(delay, payload, _orig=orig_schedule, _emit=emit):
             _emit("sched", payload)
             _orig(delay, payload)
 
@@ -370,15 +457,18 @@ class ObserverHub:
 
         # 2. Lock-cell probes: each site's table observer.
         for sid, site in enumerate(sim._site_list):
-            site.observer = _CellProbes(self, sid)
+            site.observer = _CellProbes(emit, sid)
 
         # 3. Counter and lifecycle probes: Simulator.count and the
         # arrive/prepared/commit/abort points call the probe slot.
-        sim._probe = self._emit
+        sim._probe = emit
 
     def finalize(self) -> None:
-        """Flush every sink onto the result."""
+        """Hand the chunk readers what is left of the log, then flush
+        every sink onto the result."""
         sim = self.sim
+        if self._log:
+            self._flush()
         for sink in self._sinks:
             sink.finalize(sim, sim.result)
 
@@ -386,20 +476,20 @@ class ObserverHub:
 class _CellProbes:
     """One site's lock-cell mutations, as probes."""
 
-    __slots__ = ("_hub", "_sid")
+    __slots__ = ("_emit", "_sid")
 
-    def __init__(self, hub: ObserverHub, sid: int):
-        self._hub = hub
+    def __init__(self, emit, sid: int):
+        self._emit = emit
         self._sid = sid
 
     def wait(self, entity: int, txn: int) -> None:
-        self._hub._emit("wait", (self._sid, entity, txn))
+        self._emit("wait", (self._sid, entity, txn))
 
     def unwait(self, entity: int, txn: int) -> None:
-        self._hub._emit("unwait", (self._sid, entity, txn))
+        self._emit("unwait", (self._sid, entity, txn))
 
     def hold(self, entity: int, txn: int) -> None:
-        self._hub._emit("hold", (self._sid, entity, txn))
+        self._emit("hold", (self._sid, entity, txn))
 
     def unhold(self, entity: int, txn: int) -> None:
-        self._hub._emit("unhold", (self._sid, entity, txn))
+        self._emit("unhold", (self._sid, entity, txn))

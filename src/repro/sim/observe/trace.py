@@ -74,21 +74,24 @@ def iter_formatted(records, entity_names, site_names):
 class EventTracer(ProbeSink):
     """Bounded ring buffer of probe records.
 
-    The ring is flat: one record takes three consecutive slots —
-    time, kind, args — appended one at a time, so keeping it costs 24
+    The tracer reads the hub's probe log a chunk at a time (see
+    :class:`~repro.sim.observe.probes.ProbeSink`): each chunk extends
+    the ring in one call, so recording a probe costs no Python call of
+    its own. The ring is flat, in the log's layout: one record takes
+    three consecutive slots — time, kind, args — so keeping it costs 24
     bytes of ring and no object of its own. (A ``(time, kind, args)``
     tuple per record would cost 72 bytes and one more object for the
     garbage collector to track and, once the ring has aged into the
     oldest generation, to traverse at every full collection.) The ring's
     bound is a multiple of three, so eviction drops whole records. The
     args tuple is the one the probe carried; the time float is shared
-    by every record of one instant.
+    by every record of one instant. Until the hub's last flush, at
+    finalize, the ring and ``total`` lag the run by up to one chunk.
     """
 
     def __init__(self, capacity: int = 65536):
         self.capacity = capacity
         self._ring: deque = deque(maxlen=3 * capacity)
-        self._append = self._ring.append
         self.total = 0  # records ever seen (dropped = total - len)
         self._entity_names: list[str] = []
         self._site_names: list[str] = []
@@ -97,12 +100,9 @@ class EventTracer(ProbeSink):
         self._entity_names = sim._entity_names
         self._site_names = sim._site_names
 
-    def on_probe(self, kind: str, time: float, args: tuple) -> None:
-        self.total += 1
-        append = self._append
-        append(time)
-        append(kind)
-        append(args)
+    def on_chunk(self, log) -> None:
+        self.total += len(log) // 3
+        self._ring.extend(log)
 
     def finalize(self, sim, result) -> None:
         pass

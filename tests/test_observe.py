@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -570,6 +571,55 @@ class TestDeclaredKinds:
             assert everything == output(fed(make(), declared))
             assert everything
 
+    @pytest.mark.parametrize("case", sorted(TestProbeStreamGolden.GOLDEN))
+    def test_chunk_loop_reads_only_the_declared_kinds(self, case):
+        """The attribution engine's chunk loop, fed the whole stream,
+        counters included, in one chunk or in chunks of seven probes,
+        ends where the declared kinds fed one probe at a time do."""
+        from repro.sim.observe import LatencyAttributor
+        from repro.sim.observe.probes import _SampleFilter
+
+        log = []
+        _run_with_sinks(case, [_Recorder(log)])
+        flat = [x for _, kind, t, args in log for x in (t, kind, args)]
+        if case == "sampled":
+            # The filter's chunk path keeps what its per-probe path
+            # keeps, in the same order.
+            kept, one_by_one = [], []
+            front = _SampleFilter([_Chunks(kept)], 4)
+            front.on_chunk(flat)
+            front = _SampleFilter([_Recorder(one_by_one)], 4)
+            for _, kind, t, args in log:
+                front.on_probe(kind, t, args)
+            assert kept == [
+                x for _, kind, t, args in one_by_one for x in (t, kind, args)
+            ]
+            flat = kept
+        assert "counter" in flat[1::3]
+
+        declared = LatencyAttributor()
+        it = iter(flat)
+        for t, kind, args in zip(it, it, it):
+            if kind in declared.probe_kinds:
+                declared.on_probe(kind, t, args)
+        expected = declared.engine.summary()
+        assert expected["committed"]
+        for size in (len(flat), 3 * 7):
+            chunked = LatencyAttributor()
+            for start in range(0, len(flat), size):
+                chunked.on_chunk(flat[start:start + size])
+            assert chunked.engine.summary() == expected
+
+
+class _Chunks(ProbeSink):
+    """A chunk reader that keeps every record it is handed, flat."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def on_chunk(self, chunk):
+        self.log.extend(chunk)
+
 
 class TestRouting:
     def test_sink_gets_only_its_kinds(self):
@@ -607,6 +657,117 @@ class TestRouting:
         ]
         assert log == expected
         assert {name for name, *_ in log} == {"a", "all", "b", "c"}
+
+
+def _chunked_run(case, chunk, monkeypatch, sinks=(), **config):
+    """A ``case`` run with the tracer and attribution on beside
+    ``sinks``, the hub's chunk constant set to ``chunk``."""
+    from repro.sim.observe import probes
+
+    monkeypatch.setattr(probes, "CHUNK", chunk)
+    system, policy, sim_config = _stream_case(case, None)
+    sim = Simulator(system, policy, replace(sim_config, **config))
+    hub = ObserverHub(
+        sim,
+        ObserveConfig(trace=True, trace_capacity=1 << 20, attribution=True),
+        list(sinks),
+    )
+    hub.attach()
+    sim.observe = hub
+    return hub, sim.run()
+
+
+def _records(log, name="all"):
+    """The ``(time, kind, args)`` records a ``_Recorder`` logged."""
+    return [(t, kind, args) for who, kind, t, args in log if who == name]
+
+
+def _fed_one_by_one(records):
+    from repro.sim.observe.attribution import LatencyAttribution
+
+    engine = LatencyAttribution()
+    for t, kind, args in records:
+        engine.feed(kind, t, args)
+    return engine
+
+
+class TestChunkedDelivery:
+    """The tracer and the attribution engine read the hub's probe log
+    a chunk at a time; the live sinks still get each probe as it
+    fires."""
+
+    #: records the tracer keeps in each probe-stream golden case
+    TOTALS = {
+        "chaos": 54464, "detect": 1783, "sampled": 10462,
+        "wound-wait": 25987,
+    }
+
+    @pytest.mark.parametrize("chunk", [1, 7, "default"])
+    @pytest.mark.parametrize("case", sorted(TestProbeStreamGolden.GOLDEN))
+    def test_goldens_hold_at_every_chunk_size(
+        self, case, chunk, tmp_path, monkeypatch
+    ):
+        from repro.sim.observe import probes
+
+        if chunk != "default":
+            monkeypatch.setattr(probes, "CHUNK", chunk)
+        hubs = []
+        finalize = ObserverHub.finalize
+
+        def recorded(hub):
+            hubs.append(hub)
+            finalize(hub)
+
+        monkeypatch.setattr(ObserverHub, "finalize", recorded)
+        TestProbeStreamGolden().test_stream_matches_the_goldens(
+            case, tmp_path
+        )
+        [hub] = hubs
+        assert hub.tracer.total == len(hub.tracer) == self.TOTALS[case]
+
+    @pytest.mark.parametrize("chunk", [7, 4096])
+    def test_live_sinks_keep_attach_order_beside_chunk_readers(
+        self, chunk, monkeypatch
+    ):
+        log = []
+        sinks = [
+            _Recorder(log, "all"),
+            _Recorder(log, "some", frozenset({"wait", "abort", "sched"})),
+        ]
+        hub, _ = _chunked_run("chaos", chunk, monkeypatch, sinks)
+        expected = [
+            (sink.name, kind, t, args)
+            for name, kind, t, args in log if name == "all"
+            for sink in sinks
+            if sink.probe_kinds is None or kind in sink.probe_kinds
+        ]
+        assert log == expected
+        stream = _records(log)
+        assert len(stream) > 3 * chunk
+        assert list(hub.tracer._records()) == stream
+        assert hub.attribution.engine.summary() == (
+            _fed_one_by_one(stream).summary()
+        )
+
+    def test_a_truncated_run_delivers_every_probe(self, monkeypatch):
+        """A run cut short by ``max_events`` ends with a part chunk,
+        which the hub hands over at finalize."""
+        from repro.sim.observe import probes
+
+        log = []
+        hub, result = _chunked_run(
+            "wound-wait", probes.CHUNK, monkeypatch, [_Recorder(log, "all")],
+            max_events=2000,
+        )
+        assert result.truncated
+        stream = _records(log)
+        assert len(stream) > 2 * probes.CHUNK
+        assert len(stream) % probes.CHUNK
+        assert hub.tracer.total == len(stream)
+        assert list(hub.tracer._records()) == stream
+        assert hub.attribution.engine.summary() == (
+            _fed_one_by_one(stream).summary()
+        )
 
 
 class TestCli:

@@ -1,10 +1,10 @@
 """The metrics sampler's waits-for edge count at each window close.
 
-Under the policies that keep no waits-for graph (wound-wait, wait-die,
-timeout) the sampler rebuilds the edges of the transactions its
-``wait``/``unwait`` probes say have a queued request, instead of
+Under every policy the sampler rebuilds the edges of the transactions
+the lock tables list as blocked (``Simulator._blocked()``), instead of
 visiting every transaction the run ever injected. The count must equal
-the full rebuild's, ``Simulator._wait_for_edges()``, at every close.
+the full rebuild's, ``Simulator._wait_for_edges()``, at every close;
+the grid below checks it under wound-wait, wait-die and timeout.
 """
 
 import itertools
