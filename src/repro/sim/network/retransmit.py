@@ -28,16 +28,31 @@ a traced run's counter stream replays the ledger history;
 ``net_inflight`` follows from the others and is bumped inline, which
 keeps its churn out of the stream.
 
+What the channel keeps: one record per logical send in ``messages``
+(seq -> :class:`_Message`), holding the send's route, delay, payload
+and send time, the number of its copies on the wire, whether its
+payload was dispatched, and whether it is *open* — unacked, so its
+backoff chain still resends it. A copy put on the wire (first send,
+retransmission, spontaneous duplicate) adds one to the count; a copy
+that lands takes one off, whether it is dropped, suppressed or
+dispatched. A record closes when its ack arrives or the drain path
+below stops its chain, and is forgotten once it is closed and no copy
+of it is on the wire: the first moment no copy can arrive again, so
+duplicate suppression reads the record's ``delivered`` flag and gives
+every copy the answer a never-pruned set of delivered sequence
+numbers would. The channel thus holds the in-flight window, not the
+run's history.
+
 Retransmission chains die on their own once the run has no
 uncommitted work and no retained locks left — the same drain condition
 the failure injector uses — so a message addressed to a permanently
 unreachable site cannot keep the event queue alive forever.
 
-The channel also feeds failure suspicion: per destination it tracks
-the send time of the oldest unacked message, and
-:meth:`NetworkModel.suspect_down` suspects a site once that age
-exceeds ``suspect_timeout`` — the timeout-based knowledge a real
-protocol has, replacing the omniscient ``site_is_up()`` checks.
+The channel also feeds failure suspicion: the age of the oldest open
+message to a destination is the least send time over its open
+records, and :meth:`NetworkModel.suspect_down` suspects a site once
+that age exceeds ``suspect_timeout`` — the timeout-based knowledge a
+real protocol has, replacing the omniscient ``site_is_up()`` checks.
 """
 
 from __future__ import annotations
@@ -45,22 +60,32 @@ from __future__ import annotations
 __all__ = ["RetransmitChannel"]
 
 
-class _Pending:
-    """One unacked logical send."""
+class _Message:
+    """One logical send, kept while a copy of it can still arrive."""
 
-    __slots__ = ("seq", "src", "dst", "delay", "payload", "sent_at")
+    __slots__ = (
+        "src", "dst", "delay", "payload", "sent_at", "copies",
+        "delivered", "open",
+    )
 
-    def __init__(self, seq, src, dst, delay, payload, sent_at):
-        self.seq = seq
+    def __init__(self, src, dst, delay, payload, sent_at):
         self.src = src
         self.dst = dst
         self.delay = delay
         self.payload = payload
         self.sent_at = sent_at
+        self.copies = 1  # copies on the wire
+        self.delivered = False  # payload dispatched
+        self.open = True  # unacked: the backoff chain still resends
 
 
 class RetransmitChannel:
-    """Reliable delivery over the chaos model's lossy links."""
+    """Reliable delivery over the chaos model's lossy links.
+
+    ``messages`` maps the sequence number of every logical send that
+    is open or has a copy on the wire to its :class:`_Message`; see
+    the module docstring for when a record is forgotten.
+    """
 
     def __init__(self, model):
         self.model = model
@@ -70,12 +95,7 @@ class RetransmitChannel:
         self.backoff = config.retransmit_backoff
         self.cap = config.retransmit_cap
         self._next_seq = 0
-        #: seq -> _Pending, while unacked.
-        self.outstanding: dict[int, _Pending] = {}
-        #: seqs whose payload was dispatched (suppresses later copies).
-        self.delivered: set[int] = set()
-        #: dst sid -> {seq: send time}, the suspicion bookkeeping.
-        self._unacked_to: dict[int, dict[int, float]] = {}
+        self.messages: dict[int, _Message] = {}
 
     # ------------------------------------------------------------------
     # sending
@@ -97,10 +117,7 @@ class RetransmitChannel:
         sim = self.sim
         seq = self._next_seq
         self._next_seq = seq + 1
-        self.outstanding[seq] = _Pending(
-            seq, src, dst, delay, payload, sim._now
-        )
-        self._unacked_to.setdefault(dst, {})[seq] = sim._now
+        self.messages[seq] = _Message(src, dst, delay, payload, sim._now)
         sim.count("net_sent")
         sim.result.net_inflight += 1
         sim.schedule(
@@ -123,6 +140,13 @@ class RetransmitChannel:
         sim = self.sim
         result = sim.result
         result.net_inflight -= 1
+        # The copy has landed, whatever its fate below: take it off the
+        # count first, and forget a closed message with none left.
+        messages = self.messages
+        msg = messages[seq]
+        msg.copies -= 1
+        if not (msg.open or msg.copies):
+            del messages[seq]
         model = self.model
         if model.cut_between(src, dst) or model.loss_draw():
             sim.count("net_dropped")
@@ -132,15 +156,19 @@ class RetransmitChannel:
             # retransmitting and delivers after the repair.
             sim.count("net_dropped")
             return
-        if seq in self.delivered:
+        if msg.delivered:
             sim.count("net_duplicates")
             self._send_ack(seq, src, dst)  # the earlier ack may be lost
             return
-        self.delivered.add(seq)
+        msg.delivered = True
         sim.count("net_delivered")
         if model.dup_draw():
             # The network spontaneously duplicates the message; the
             # copy arrives after its own jitter and is suppressed above.
+            # (A message the drain path closed may have been forgotten
+            # above: its new copy puts it back.)
+            msg.copies += 1
+            messages[seq] = msg
             sim.count("net_sent")
             result.net_inflight += 1
             sim.schedule(
@@ -171,38 +199,45 @@ class RetransmitChannel:
         if model.cut_between(src, dst) or model.loss_draw():
             # Lost ack: the sender retransmits, the receiver re-acks.
             return
-        rec = self.outstanding.pop(seq, None)
-        if rec is not None:
-            pending = self._unacked_to.get(rec.dst)
-            if pending is not None:
-                pending.pop(seq, None)
+        msg = self.messages.get(seq)
+        if msg is not None:
+            self._close(seq, msg)
+
+    def _close(self, seq, msg) -> None:
+        """Stop ``msg``'s backoff chain; forget it if no copy is out."""
+        msg.open = False
+        if not msg.copies:
+            del self.messages[seq]
 
     # ------------------------------------------------------------------
     # the backoff chain
     # ------------------------------------------------------------------
 
     def on_retransmit(self, seq, n) -> None:
-        rec = self.outstanding.get(seq)
-        if rec is None:
-            return  # acked; the chain dies
+        msg = self.messages.get(seq)
+        if msg is None or not msg.open:
+            return  # acked or drained; the chain dies
         sim = self.sim
         if not (sim.has_uncommitted() or sim._retained_total > 0):
-            # Nothing left for the message to influence: drop it so the
-            # queue can drain (mirrors the failure injector's drain
-            # condition).
-            self.outstanding.pop(seq, None)
-            pending = self._unacked_to.get(rec.dst)
-            if pending is not None:
-                pending.pop(seq, None)
+            # Nothing left for the message to influence: stop its
+            # chain so the queue can drain (mirrors the failure
+            # injector's drain condition).
+            self._close(seq, msg)
             return
+        msg.copies += 1
         sim.count("net_retransmits")
         sim.count("net_sent")
         sim.result.net_inflight += 1
         sim.schedule(
-            rec.delay + self.model.jitter_draw(),
-            ("net_redeliver", seq, rec.src, rec.dst, rec.payload),
+            msg.delay + self.model.jitter_draw(),
+            ("net_redeliver", seq, msg.src, msg.dst, msg.payload),
         )
-        pause = min(self.timeout * self.backoff ** n, self.cap)
+        try:
+            pause = min(self.timeout * self.backoff ** n, self.cap)
+        except OverflowError:
+            # backoff ** n left the float range, far past the cap (a
+            # message unacked for ~1,000 resends under total loss).
+            pause = self.cap
         sim.schedule(pause, ("net_retransmit", seq, n + 1))
 
     # ------------------------------------------------------------------
@@ -210,8 +245,13 @@ class RetransmitChannel:
     # ------------------------------------------------------------------
 
     def oldest_unacked_age(self, dst: int, now: float) -> float:
-        """Age of the oldest unacked message to ``dst`` (0 if none)."""
-        pending = self._unacked_to.get(dst)
-        if not pending:
-            return 0.0
-        return now - min(pending.values())
+        """Age of the oldest unacked message to ``dst`` (0 if none).
+
+        A scan of the in-flight window: suspicion asks rarely, and the
+        window holds tens of records.
+        """
+        sent = [
+            msg.sent_at for msg in self.messages.values()
+            if msg.open and msg.dst == dst
+        ]
+        return now - min(sent) if sent else 0.0

@@ -100,6 +100,20 @@ SEGMENTS = (
 #: the probe kinds the engine reads: every kind but ``counter``
 KINDS = frozenset(PROBE_KINDS) - {"counter"}
 
+#: event kinds whose delivery closes (or, for ``begin``, opens) a
+#: segment boundary -> the index of their transaction argument; the
+#: intake loop skips every other ``event`` probe unread
+_EVENT_TXN = {
+    ev: EVENT_TXN_ARG[ev]
+    for ev in ("begin", "op_done", "issue", "replica_req", "dur_flush",
+               "restart")
+}
+#: event kinds whose scheduling opens an interval -> the same index
+_SCHED_TXN = {
+    ev: EVENT_TXN_ARG[ev]
+    for ev in ("op_done", "issue", "replica_req", "dur_flush")
+}
+
 #: a cell's waiter queue at least this deep counts as a convoy
 CONVOY_THRESHOLD = 3
 #: how many cells (by blocked time) and blame edges a summary lists
@@ -186,6 +200,8 @@ class LatencyAttribution:
         # hash-dependent and break online == offline bit-equality.
         self._held_by: dict = {}
         self._waiters: dict = {}  # cell -> {waiter txn: None} (ordered)
+        # cell -> the instant its waiters' clocks were last settled
+        self._settled: dict = {}
         self._prepared: set = set()  # PREPARED / release-in-flight
         self._edges: dict = {}  # (waiter, holder, cell) -> blocked time
         self._abort_cause_counts: dict = {}
@@ -240,13 +256,19 @@ class LatencyAttribution:
         st.last = now
 
     def _advance_waiters(self, cell, now: float) -> None:
-        """Settle clocks of a cell's waiters before its state changes."""
+        """Settle clocks of a cell's waiters before its state changes.
+
+        Once settled at ``now``, a cell's waiters stay at ``now`` until
+        time moves (a waiter joins at ``now``; clocks never go back),
+        so a second settlement at the same instant returns at once.
+        """
         waiters = self._waiters.get(cell)
-        if waiters:
+        if waiters and self._settled.get(cell) != now:
+            self._settled[cell] = now
             states = self._states
             for txn in waiters:
                 st = states.get(txn)
-                if st is not None:
+                if st is not None and st.last != now:
                     self._advance(st, now)
 
     def _cell_stats(self, cell) -> _CellStats:
@@ -266,10 +288,17 @@ class LatencyAttribution:
     def intake(self, log) -> None:
         """Consume a flat run of probe records, three slots each —
         time, kind, args — in stream order, skipping the kinds the
-        engine does not read (:data:`KINDS`)."""
+        engine does not read (:data:`KINDS`) and the events it has no
+        boundary for (``cm_*``, ``timeout``, ...).
+
+        A transaction whose clock already stands at the probe's
+        instant is not advanced: the interval would be empty.
+        """
         states = self._states
         advance = self._advance
         reads = KINDS
+        event_txn = _EVENT_TXN
+        sched_txn = _SCHED_TXN
         end = self._end
         it = iter(log)
         for now, kind, args in zip(it, it, it):
@@ -277,90 +306,98 @@ class LatencyAttribution:
                 continue
             if now > end:
                 end = now
-            if kind == "event" or kind == "sched":
+            if kind == "event":
                 ev = args[0]
-                if ev == "net_deliver":
-                    # A chaos-wrapped logical send: the wrapper's
-                    # payload slot carries the inner message, so
-                    # recursing at send time opens the same in-network
-                    # interval a direct send would. The matching inner
-                    # *event* probe fires at real delivery (the channel
-                    # re-dispatches through the registry) and closes
-                    # it; retransmitted and duplicated copies travel as
-                    # ``net_redeliver`` and stay invisible — a lossy
-                    # link simply stretches the open interval, folding
-                    # retransmission waits into the fanout and
-                    # coordinator segments.
-                    if kind == "sched":
-                        self.feed("sched", now, tuple(args[4]))
-                    continue
-                idx = EVENT_TXN_ARG.get(ev)
+                idx = event_txn.get(ev)
                 if idx is None:
                     continue
                 st = states.get(args[idx])
-                if kind == "event":
-                    if ev == "begin":
-                        if st is None:
-                            states[args[1]] = _TxnState(args[1], now)
-                    elif ev == "op_done":
-                        if (
-                            st is not None and not st.done
-                            and st.attempt == args[3] and st.in_service > 0
-                        ):
+                if ev == "begin":
+                    if st is None:
+                        states[args[1]] = _TxnState(args[1], now)
+                elif ev == "op_done":
+                    if (
+                        st is not None and not st.done
+                        and st.attempt == args[3] and st.in_service > 0
+                    ):
+                        if st.last != now:
                             advance(st, now)
-                            st.in_service -= 1
-                    elif ev == "issue" or ev == "replica_req":
-                        attempt = args[3] if ev == "issue" else args[4]
-                        if (
-                            st is not None and not st.done
-                            and st.attempt == attempt and st.in_net > 0
-                        ):
+                        st.in_service -= 1
+                elif ev == "issue" or ev == "replica_req":
+                    attempt = args[3] if ev == "issue" else args[4]
+                    if (
+                        st is not None and not st.done
+                        and st.attempt == attempt and st.in_net > 0
+                    ):
+                        if st.last != now:
                             advance(st, now)
-                            st.in_net -= 1
-                    elif ev == "dur_flush":
-                        # A forced write completed (or was cancelled by
-                        # a crash — the heap event fires either way,
-                        # keeping the sched/event pair balanced).
-                        if (
-                            st is not None and not st.done
-                            and st.in_flush > 0
-                        ):
+                        st.in_net -= 1
+                elif ev == "dur_flush":
+                    # A forced write completed (or was cancelled by a
+                    # crash — the heap event fires either way, keeping
+                    # the sched/event pair balanced).
+                    if st is not None and not st.done and st.in_flush > 0:
+                        if st.last != now:
                             advance(st, now)
-                            st.in_flush -= 1
-                    elif ev == "restart":
-                        if (
-                            st is not None and st.aborted
-                            and st.attempt == args[2]
-                        ):
+                        st.in_flush -= 1
+                else:  # restart
+                    if (
+                        st is not None and st.aborted
+                        and st.attempt == args[2]
+                    ):
+                        if st.last != now:
                             advance(st, now)
-                            st.aborted = False
-                            st.attempt_start = now
-                    # timeout / cm_* carry no segment boundary of their
-                    # own
-                elif st is not None and not st.done:
-                    # sched: a message/service interval opens now
-                    if ev == "op_done":
-                        if st.attempt == args[3]:
+                        st.aborted = False
+                        st.attempt_start = now
+            elif kind == "sched":
+                ev = args[0]
+                idx = sched_txn.get(ev)
+                if idx is None:
+                    if ev == "net_deliver":
+                        # A chaos-wrapped logical send: the wrapper's
+                        # payload slot carries the inner message, so
+                        # recursing at send time opens the same
+                        # in-network interval a direct send would. The
+                        # matching inner *event* probe fires at real
+                        # delivery (the channel re-dispatches through
+                        # the registry) and closes it; retransmitted
+                        # and duplicated copies travel as
+                        # ``net_redeliver`` and stay invisible — a
+                        # lossy link simply stretches the open
+                        # interval, folding retransmission waits into
+                        # the fanout and coordinator segments.
+                        self.feed("sched", now, tuple(args[4]))
+                    continue
+                st = states.get(args[idx])
+                if st is None or st.done:
+                    continue
+                # a message/service interval opens now
+                if ev == "op_done":
+                    if st.attempt == args[3]:
+                        if st.last != now:
                             advance(st, now)
-                            st.in_service += 1
-                    elif ev == "issue" or ev == "replica_req":
-                        attempt = args[3] if ev == "issue" else args[4]
-                        if st.attempt == attempt:
+                        st.in_service += 1
+                elif ev == "issue" or ev == "replica_req":
+                    attempt = args[3] if ev == "issue" else args[4]
+                    if st.attempt == attempt:
+                        if st.last != now:
                             advance(st, now)
-                            st.in_net += 1
-                    elif ev == "dur_flush":
-                        # A forced log write opens at one of the txn's
-                        # sites: inside the prepared window this
-                        # interval is log-force, not commit, time.
+                        st.in_net += 1
+                else:  # dur_flush
+                    # A forced log write opens at one of the txn's
+                    # sites: inside the prepared window this interval
+                    # is log-force, not commit, time.
+                    if st.last != now:
                         advance(st, now)
-                        st.in_flush += 1
+                    st.in_flush += 1
             elif kind in CELL_KINDS:
                 cell = (args[0], args[1])
                 txn = args[2]
                 if kind == "wait":
                     st = states.get(txn)
                     if st is not None and not st.done:
-                        advance(st, now)
+                        if st.last != now:
+                            advance(st, now)
                         st.wait_cells[cell] = now
                         waiters = self._waiters.setdefault(cell, {})
                         waiters[txn] = None
@@ -370,7 +407,8 @@ class LatencyAttribution:
                 elif kind == "unwait":
                     st = states.get(txn)
                     if st is not None and cell in st.wait_cells:
-                        advance(st, now)
+                        if st.last != now:
+                            advance(st, now)
                         del st.wait_cells[cell]
                         waiters = self._waiters.get(cell)
                         if waiters is not None and txn in waiters:
@@ -402,7 +440,8 @@ class LatencyAttribution:
                 txn = args[0]
                 st = states.get(txn)
                 if st is not None and not st.done:
-                    advance(st, now)
+                    if st.last != now:
+                        advance(st, now)
                     st.prepared = True
                     st.exec_done = now
                 for cell in self._held_by.get(txn, ()):

@@ -65,12 +65,12 @@ def chaos_configs():
     ), 0.01
 
 
-def chaos_runs(protocol, replica):
-    """Yield (sim, result) for every completed cell of the matrix."""
+def chaos_simulators(protocol, replica):
+    """Yield an unrun simulator for every cell of the matrix."""
     system = random_system(random.Random(7), SPEC)
     for _name, network, failure_rate in chaos_configs():
         for seed in range(2):
-            sim = Simulator(
+            yield Simulator(
                 system,
                 "wound-wait",
                 SimulationConfig(
@@ -85,10 +85,15 @@ def chaos_runs(protocol, replica):
                     network=network,
                 ),
             )
-            result = sim.run()
-            assert not result.truncated
-            assert not result.deadlocked
-            yield sim, result
+
+
+def chaos_runs(protocol, replica):
+    """Yield (sim, result) for every completed cell of the matrix."""
+    for sim in chaos_simulators(protocol, replica):
+        result = sim.run()
+        assert not result.truncated
+        assert not result.deadlocked
+        yield sim, result
 
 
 @pytest.mark.parametrize("replica", replica_control_names())
