@@ -112,7 +112,7 @@ class PaxosCommit(TwoPhaseCommit):
 
     def attach(self, sim) -> None:
         super().attach(sim)
-        self.fault_tolerance = max(0, sim.config.commit_fault_tolerance)
+        self.fault_tolerance = sim.config.commit_fault_tolerance
         sim.register_handler("cm_learn", self._on_learn)
         sim.register_handler("cm_state", self._on_state)
 

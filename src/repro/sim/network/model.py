@@ -242,16 +242,10 @@ class NetworkModel:
         side = self.cut
         return side is None or (a in side) == (b in side)
 
-    def _work_pending(self) -> bool:
-        sim = self.sim
-        return sim.has_uncommitted() or sim._retained_total > 0
-
     def _on_partition_start(self, idx: int) -> None:
         sim = self.sim
         if idx < 0:
             # A Poisson-arriving episode.
-            if not self._work_pending():
-                return  # batch drained; let the chain die
             if self.cut is not None:
                 self._schedule_next_poisson()
                 return
@@ -281,7 +275,7 @@ class NetworkModel:
         sim.replicas.on_partition_heal()
         self.cut = None
         sim.result.partition_time += sim._now - self._cut_since
-        if idx < 0 and self._work_pending():
+        if idx < 0:
             self._schedule_next_poisson()
 
     def _schedule_next_poisson(self) -> None:

@@ -35,18 +35,18 @@ payload was dispatched, and whether it is *open* — unacked, so its
 backoff chain still resends it. A copy put on the wire (first send,
 retransmission, spontaneous duplicate) adds one to the count; a copy
 that lands takes one off, whether it is dropped, suppressed or
-dispatched. A record closes when its ack arrives or the drain path
-below stops its chain, and is forgotten once it is closed and no copy
-of it is on the wire: the first moment no copy can arrive again, so
-duplicate suppression reads the record's ``delivered`` flag and gives
-every copy the answer a never-pruned set of delivered sequence
-numbers would. The channel thus holds the in-flight window, not the
-run's history.
+dispatched. A record closes when its ack arrives, and is forgotten
+once it is closed and no copy of it is on the wire: the first moment
+no copy can arrive again, so duplicate suppression reads the record's
+``delivered`` flag and gives every copy the answer a never-pruned set
+of delivered sequence numbers would. The channel thus holds the
+in-flight window, not the run's history.
 
-Retransmission chains die on their own once the run has no
-uncommitted work and no retained locks left — the same drain condition
-the failure injector uses — so a message addressed to a permanently
-unreachable site cannot keep the event queue alive forever.
+A retransmission chain ends only at its message's ack. A message
+addressed to a permanently unreachable site still cannot keep the run
+alive forever: the run loop stops the run once no uncommitted work
+and no retained lock is left (``Simulator.run``), whatever timers are
+still queued.
 
 The channel also feeds failure suspicion: the age of the oldest open
 message to a destination is the least send time over its open
@@ -165,10 +165,9 @@ class RetransmitChannel:
         if model.dup_draw():
             # The network spontaneously duplicates the message; the
             # copy arrives after its own jitter and is suppressed above.
-            # (A message the drain path closed may have been forgotten
-            # above: its new copy puts it back.)
+            # (Only an ack closes a record, and an ack follows this
+            # first dispatch, so the record is still held.)
             msg.copies += 1
-            messages[seq] = msg
             sim.count("net_sent")
             result.net_inflight += 1
             sim.schedule(
@@ -201,13 +200,10 @@ class RetransmitChannel:
             return
         msg = self.messages.get(seq)
         if msg is not None:
-            self._close(seq, msg)
-
-    def _close(self, seq, msg) -> None:
-        """Stop ``msg``'s backoff chain; forget it if no copy is out."""
-        msg.open = False
-        if not msg.copies:
-            del self.messages[seq]
+            # Stop the backoff chain; forget the send if no copy is out.
+            msg.open = False
+            if not msg.copies:
+                del self.messages[seq]
 
     # ------------------------------------------------------------------
     # the backoff chain
@@ -216,14 +212,8 @@ class RetransmitChannel:
     def on_retransmit(self, seq, n) -> None:
         msg = self.messages.get(seq)
         if msg is None or not msg.open:
-            return  # acked or drained; the chain dies
+            return  # acked; the chain dies
         sim = self.sim
-        if not (sim.has_uncommitted() or sim._retained_total > 0):
-            # Nothing left for the message to influence: stop its
-            # chain so the queue can drain (mirrors the failure
-            # injector's drain condition).
-            self._close(seq, msg)
-            return
         msg.copies += 1
         sim.count("net_retransmits")
         sim.count("net_sent")

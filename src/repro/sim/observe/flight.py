@@ -38,19 +38,6 @@ from repro.sim.observe.trace import iter_formatted
 __all__ = ["FlightRecorder"]
 
 
-def _lock_table_edges(sim) -> dict[int, set[int]]:
-    """``{waiter: holders}`` read from the lock tables: each queued
-    waiter, to the holders of its cell."""
-    edges: dict[int, set[int]] = {}
-    for site in sim._site_list:
-        for entity, queue in site.queues.items():
-            holders = site.holders_map(entity)
-            if holders:
-                for waiter in queue:
-                    edges.setdefault(waiter, set()).update(holders)
-    return edges
-
-
 class FlightRecorder(ProbeSink):
     """Dump the recent past when the simulation hits an anomaly."""
 
@@ -108,7 +95,7 @@ class FlightRecorder(ProbeSink):
                 fh.write("\n")
         dot_path = stem + ".dot"
         with open(dot_path, "w", encoding="utf-8") as fh:
-            fh.write(waits_for_to_dot(_lock_table_edges(sim)))
+            fh.write(waits_for_to_dot(sim._wait_for_edges()))
         entry = {
             "reason": reason,
             "time": sim._now,

@@ -141,12 +141,10 @@ class MetricsSampler(ProbeSink):
     def _edge_count(self) -> int:
         """Distinct waits-for edges right now.
 
-        Rebuilds the edges of the transactions the lock tables list as
-        blocked (cold — once per window close, never per event), so a
-        close does not visit every transaction ever injected.
+        Read from the lock tables' queues (cold — once per window
+        close, never per event), so a close visits no transaction.
         """
-        sim = self._sim
-        edges = sim._wait_for_edges(sim._blocked())
+        edges = self._sim._wait_for_edges()
         return sum(len(h) for h in edges.values())
 
     # ------------------------------------------------------------------

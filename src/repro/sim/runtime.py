@@ -108,7 +108,7 @@ import dataclasses
 import random
 from array import array
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heappop as _heappop, heappush as _heappush
 from types import MappingProxyType
@@ -270,7 +270,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         # A negative delay would silently corrupt event-heap ordering
         # (events scheduled into the past), a negative count lifts its
-        # cap, a zero period re-arms its chain at the same instant
+        # cap, a negative warm-up stretches the measurement window past
+        # the run, a zero period re-arms its chain at the same instant
         # until max_events runs out, and a run budget of zero or less
         # runs nothing yet reports a serializable run; reject them
         # outright, mirroring WorkloadSpec's validation.
@@ -278,6 +279,7 @@ class SimulationConfig:
             "service_time", "network_delay", "arrival_spread",
             "restart_delay", "restart_jitter", "timeout", "failure_rate",
             "repair_time", "arrival_rate", "max_transactions",
+            "warmup_time", "commit_fault_tolerance",
         ):
             value = getattr(self, label)
             if value < 0:
@@ -769,8 +771,11 @@ class Simulator:
 
         While the arrival process is still injecting, more work is
         always coming, so the answer is True even if every transaction
-        injected so far has committed — subsystem upkeep loops (crash
-        scheduling, detection scans) must not stop between arrivals.
+        injected so far has committed. The run loop's stop rule reads
+        it before every event of a run with failures or a network
+        model. The detector and replica catch-up read it to re-arm
+        their scans, so a scan that lands between arrivals keeps its
+        chain alive.
         """
         if self.arrivals is not None and not self.arrivals.finished:
             return True
@@ -1655,31 +1660,22 @@ class Simulator:
             blocked.update(site.wait_index)
         return blocked
 
-    def _wait_for_edges(
-        self, txns: Iterable[int] | None = None
-    ) -> dict[int, set[int]]:
-        """Who waits for whom, rebuilt from the instances: waiter ->
+    def _wait_for_edges(self) -> dict[int, set[int]]:
+        """Who waits for whom, read from the lock tables: waiter ->
         holders.
 
-        Each running instance's ``waiting`` cells, to the holders of
-        each. ``txns`` restricts the scan to those transactions (a
-        superset of the waiters, in any order, such as
-        :meth:`_blocked`); by default every instance is visited. The
-        metrics sampler counts its edges over the blocked set, and the
-        tests hold the lock tables' view to this one.
+        Each queued waiter, to the holders of its cell. It visits the
+        sites' queues, not the instances, so it costs the contended
+        cells. The metrics sampler counts these edges and the flight
+        recorder draws them.
         """
         edges: dict[int, set[int]] = {}
-        site_list = self._site_list
-        instances = self._instances
-        if txns is not None:
-            instances = map(instances.__getitem__, txns)
-        for inst in instances:
-            if inst.status != _RUNNING or not inst.waiting:
-                continue
-            for eid, sid in inst.waiting:
-                holders = site_list[sid].holders_map(eid)
+        for site in self._site_list:
+            for entity, queue in site.queues.items():
+                holders = site.holders_map(entity)
                 if holders:
-                    edges.setdefault(inst.index, set()).update(holders)
+                    for waiter in queue:
+                        edges.setdefault(waiter, set()).update(holders)
         return edges
 
     def _find_deadlock_cycle(self) -> list[int] | None:
@@ -1780,10 +1776,10 @@ class Simulator:
         max_events = config.max_events
         warmup_time = config.warmup_time
         track_failures = self.failures is not None
-        # With fault injection or a network model attached, trailing
-        # upkeep events (crash/recover pairs, retransmission chains,
-        # partition episodes) can outlive the work; break once the
-        # batch drained so they cannot inflate end_time.
+        # With fault injection or a network model attached, upkeep
+        # chains (crash/recover pairs, partition episodes,
+        # retransmission timers) never stop themselves: the run stops
+        # here, before the first event that finds no work left.
         drain_break = track_failures or self.network is not None
         events_processed = self._events_processed
         # The in-flight integral accumulates in a local and is flushed
@@ -1792,6 +1788,16 @@ class Simulator:
         inflight_area = result.inflight_area
         try:
             while heap:
+                if (
+                    drain_break
+                    and self._retained_total == 0
+                    and not self.has_uncommitted()
+                ):
+                    # All work committed and every retained lock
+                    # released: what is left would only inflate
+                    # end_time and the crash count (or spuriously
+                    # truncate the run at a tight horizon).
+                    break
                 time, _seq, payload = heappop(heap)
                 if time > max_time:
                     result.truncated = True
@@ -1813,17 +1819,6 @@ class Simulator:
                     dispatch(payload)
                 else:
                     handlers[payload[0]](*payload[1:])
-                if (
-                    drain_break
-                    and self._retained_total == 0
-                    and not self.has_uncommitted()
-                ):
-                    # All work committed and every retained lock
-                    # released: the only events left are future
-                    # crash/recover pairs, which would inflate end_time
-                    # and the crash count (or spuriously truncate the
-                    # run at a tight horizon).
-                    break
         finally:
             result.inflight_area = inflight_area
             self._events_processed = events_processed

@@ -10,7 +10,7 @@ from repro.core.schedule import IllegalScheduleError, Schedule
 from repro.core.serialization import is_serializable
 from repro.core.system import TransactionSystem
 from repro.core.transaction import Transaction
-from repro.sim.runtime import _ABORTED, _COMMITTED, _PREPARED
+from repro.sim.runtime import _ABORTED, _COMMITTED, _PREPARED, _RUNNING
 from repro.sim.workload import WorkloadSpec, random_system
 from repro.util.graphs import Digraph
 
@@ -247,3 +247,24 @@ def reference_serializable(sim) -> bool:
                 ):
                     graph.add_arc(i, j)
     return graph.is_acyclic()
+
+
+def reference_wait_for_edges(sim) -> dict[int, set[int]]:
+    """Who waits for whom, rebuilt from the instances: waiter ->
+    holders.
+
+    Each running instance's ``waiting`` cells, to the holders of each:
+    the reference the lock tables' own view
+    (``Simulator._wait_for_edges``) is checked against. Mid grant
+    cascade ``waiting`` can still list a cell just granted, so compare
+    the two only between events.
+    """
+    edges: dict[int, set[int]] = {}
+    for inst in sim._instances:
+        if inst.status != _RUNNING:
+            continue
+        for eid, sid in inst.waiting:
+            holders = sim._site_list[sid].holders_map(eid)
+            if holders:
+                edges.setdefault(inst.index, set()).update(holders)
+    return edges

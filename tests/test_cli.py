@@ -187,6 +187,23 @@ class TestRunBudget:
         assert not list(tmp_path.iterdir())
 
 
+class TestNegativeSetting:
+    @pytest.mark.parametrize(
+        "flag, field",
+        [("--warmup", "warmup_time"),
+         ("--commit-fault-tolerance", "commit_fault_tolerance")],
+    )
+    def test_negative_setting_exits_2(self, capsys, flag, field):
+        # A negative warm-up would stretch the measurement window past
+        # the run, and Paxos Commit has no negative F to run with.
+        argv = ["simulate", str(REPO / "examples.txn"), flag, "-1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"simulate: {field} must be >= 0")
+
+
 class TestUnreadableInput:
     @pytest.mark.parametrize(
         "command",

@@ -227,20 +227,9 @@ class TestEndToEnd:
 
 
 class TestChainContinuation:
-    """A recovery is the only point where a site's crash chain can
-    end; these pin the continuation decision (``_work_pending``)."""
-
-    def test_work_pending_sources(self):
-        sim = Simulator(cross_pair(), "wound-wait", failure_config())
-        injector = sim.failures
-        assert injector._work_pending()  # the batch is uncommitted
-        sim.result.committed = len(sim.system)
-        assert not injector._work_pending()
-        # All transactions committed, but a commit decision is still
-        # retransmitting to a down participant: the protocol
-        # conversation is alive and its targets can crash again.
-        sim._retained_total = 1
-        assert injector._work_pending()
+    """Every recovery schedules its site's next crash: a crash chain
+    never ends itself, and only the run loop's stop rule ends the run
+    (``tests/test_stop_rule.py``)."""
 
     def test_chain_survives_idle_open_system_gaps(self):
         """A recovery landing in an idle gap of a slow arrival process

@@ -122,15 +122,11 @@ class TestAcceptorSites:
         assert sim.acceptor_sites("s1", 5) == ("s1", "s2", "s3")
         assert sim.acceptor_sites("s1", 0) == ("s1",)
 
-    def test_negative_f_is_clamped(self):
-        sim = Simulator(
-            spanning_txn(),
-            "wound-wait",
+    def test_negative_f_is_rejected(self):
+        with pytest.raises(ValueError, match="commit_fault_tolerance"):
             SimulationConfig(
                 commit_protocol="paxos-commit", commit_fault_tolerance=-3
-            ),
-        )
-        assert sim.commit.fault_tolerance == 0
+            )
 
 
 class TestFailureFree:

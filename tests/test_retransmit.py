@@ -3,10 +3,11 @@
 The channel keeps a record of a logical send only while the send is
 open (unacked, its backoff chain still resending) or has a copy on the
 wire. A shadow oracle follows every copy from outside the channel: it
-wraps ``Simulator.schedule`` (each copy put on the wire), the four
-``net_*`` handlers (each copy landing, each ack, each timer), the
-chaos model's loss draw and the suspicion query, and it never forgets
-a delivered sequence number. Against it:
+wraps ``Simulator.schedule`` (each copy put on the wire), the three
+``net_*`` handlers of a landing copy and an ack, the chaos model's
+loss draw and the suspicion query, and it never forgets a delivered
+sequence number. A send stays open until its ack lands: nothing else
+stops its backoff chain. Against it:
 
 1. after every event the channel holds exactly the messages that are
    open or have a copy on the wire, so never more than were ever open
@@ -17,9 +18,8 @@ a delivered sequence number. Against it:
    does.
 
 The configurations cover the chaos battery, a ``stack-chaos``-shaped
-open run with every layer attached, a network whose duplicates
-routinely land after the ack, and the drain path (the timers a
-finished run leaves queued, fired after it).
+open run with every layer attached, and a network whose duplicates
+routinely land after the ack.
 """
 
 import functools
@@ -46,7 +46,7 @@ class ChannelShadow:
         self.model = model = sim.network
         self.channel = channel = model.channel
         self.wire = {}  # seq -> copies scheduled and not yet landed
-        self.open = {}  # seq -> (dst, send time) until acked or drained
+        self.open = {}  # seq -> (dst, send time) until acked
         self.delivered = set()  # every dispatched seq, never pruned
         self.peak = 0  # most seqs open or on the wire at once
         self.max_held = 0  # most records the channel held at once
@@ -55,7 +55,6 @@ class ChannelShadow:
         self.age_mismatches = []
         self.fates = dict.fromkeys(("dropped", "dispatched", "suppressed"), 0)
         self.late_duplicates = 0  # suppressed copies of an acked send
-        self.drains = 0  # open sends whose chain the drain path stopped
         self.age_queries = 0
         self._draws = []  # every loss draw, in order
         self._inner = []  # payloads dispatched from inside a handler
@@ -65,7 +64,6 @@ class ChannelShadow:
             ("net_deliver", self._land),
             ("net_redeliver", self._land),
             ("net_ack", self._ack),
-            ("net_retransmit", self._retransmit),
         ):
             handlers[kind] = functools.partial(wrap, handlers[kind])
         sim.schedule = functools.partial(self._schedule, sim.schedule)
@@ -148,15 +146,6 @@ class ChannelShadow:
         if not (cut or self._draws[draws]):
             self.open.pop(seq, None)
 
-    def _retransmit(self, real, seq, n):
-        sim = self.sim
-        if seq in self.open and not (
-            sim.has_uncommitted() or sim._retained_total > 0
-        ):
-            del self.open[seq]
-            self.drains += 1
-        real(seq, n)
-
     def _age(self, real, dst, now):
         got = real(dst, now)
         sent = [t for d, t in self.open.values() if d == dst]
@@ -192,31 +181,14 @@ class ChannelShadow:
             "fate_mismatches": self.fate_mismatches[:3],
             "fates": self.fates,
             "late_duplicates": self.late_duplicates,
-            "drains": self.drains,
             "age_mismatches": self.age_mismatches[:3],
             "age_queries": self.age_queries,
         }
 
 
-def fire_leftovers(sim):
-    """Dispatch the events a finished run left queued, in time order.
-
-    ``run()`` stops as soon as no work is left, so a retransmission
-    timer never fires after that point inside it; firing the leftovers
-    sends every open message down the drain path and lands every copy
-    still on the wire.
-    """
-    queue = sim._queue
-    while queue:
-        sim._now, payload = queue.pop()
-        sim._registry.dispatch(payload)
-
-
-def observe(sim, leftovers=False) -> dict:
+def observe(sim) -> dict:
     shadow = ChannelShadow(sim)
     sim.run()
-    if leftovers:
-        fire_leftovers(sim)
     return shadow.report()
 
 
@@ -249,7 +221,7 @@ def stack_chaos(seed, arrivals=250):
     )
 
 
-def battery_shaped(protocol, seed, network, failure_rate=0.0):
+def battery_shaped(protocol, seed, network):
     """The chaos battery's workload over quorum replicas."""
     return Simulator(
         random_system(random.Random(7), SPEC),
@@ -257,8 +229,7 @@ def battery_shaped(protocol, seed, network, failure_rate=0.0):
         SimulationConfig(
             seed=seed, workload=SPEC, commit_protocol=protocol,
             replica_protocol="quorum", network_delay=0.5,
-            commit_timeout=6.0, failure_rate=failure_rate,
-            repair_time=8.0, network=network,
+            commit_timeout=6.0, network=network,
         ),
     )
 
@@ -266,35 +237,20 @@ def battery_shaped(protocol, seed, network, failure_rate=0.0):
 #: duplicates that routinely land after the ack: ``dup_rate`` 0.4 and
 #: jitter three times the link delay
 LATE_DUPLICATES = NetworkConfig(loss_rate=0.1, dup_rate=0.4, jitter=1.5)
-#: lossy enough, with timers short enough against its jitter, that
-#: sends are still open, with copies on the wire, when the work is done
-DRAINED = NetworkConfig(
-    loss_rate=0.4, dup_rate=0.5, jitter=3.0,
-    retransmit_timeout=0.5, retransmit_cap=2.0,
-)
 
 
 @functools.lru_cache(maxsize=None)
 def special(name) -> tuple:
     if name == "stack-chaos":
         return tuple(observe(stack_chaos(seed)) for seed in range(2))
-    if name == "late-duplicates":
-        return tuple(
-            observe(battery_shaped(protocol, seed, LATE_DUPLICATES))
-            for protocol in ("two-phase", "paxos-commit")
-            for seed in range(2)
-        )
     return tuple(
-        observe(
-            battery_shaped(protocol, seed, DRAINED, failure_rate=0.01),
-            leftovers=True,
-        )
+        observe(battery_shaped(protocol, seed, LATE_DUPLICATES))
         for protocol in ("two-phase", "paxos-commit")
-        for seed in range(3)
+        for seed in range(2)
     )
 
 
-SPECIAL = ("stack-chaos", "late-duplicates", "drained")
+SPECIAL = ("stack-chaos", "late-duplicates")
 PAIRS = [(p, r) for p in protocol_names() for r in replica_control_names()]
 
 
@@ -331,10 +287,6 @@ class TestHeldRecords:
             assert report["peak"] < 100
             assert landed > 50 * report["peak"]
 
-    def test_leftovers_leave_nothing(self):
-        for report in special("drained"):
-            assert report["final_held"] == []
-
 
 class TestFates:
     """2. Every copy meets the never-forgetting oracle's fate."""
@@ -361,37 +313,6 @@ class TestFates:
             report["late_duplicates"] > 0
             for report in special("late-duplicates")
         )
-
-    def test_drain_path_runs(self):
-        assert all(report["drains"] > 0 for report in special("drained"))
-
-    def test_drained_send_delivered_late_keeps_its_duplicate(self):
-        # A send the drain path closed while its copy was on the wire:
-        # the copy lands fresh and the network duplicates it. Landing
-        # forgets the record (closed, no copy out), so the duplicate
-        # must put it back, and then be suppressed.
-        sim = Simulator(
-            TransactionSystem([]),
-            "wound-wait",
-            SimulationConfig(network=NetworkConfig(dup_rate=0.5)),
-        )
-        calls = []
-        sim.register_handler("late_msg", lambda: calls.append(sim._now))
-        model = sim.network
-        channel = model.channel
-        channel.send(0, 1, 0.5, ("late_msg",))
-        assert not sim.has_uncommitted()  # nothing to run: drain
-        channel.on_retransmit(0, 1)
-        assert not channel.messages[0].open
-        model.dup_draw = lambda: True
-        channel.on_deliver(0, 0, 1, ("late_msg",))
-        assert len(calls) == 1
-        assert channel.messages[0].copies == 1
-        model.dup_draw = lambda: False
-        channel.on_redeliver(0, 0, 1, ("late_msg",))
-        assert len(calls) == 1
-        assert sim.result.net_duplicates == 1
-        assert channel.messages == {}
 
 
 class TestSuspicionAges:

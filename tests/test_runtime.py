@@ -65,6 +65,7 @@ class TestConfigValidation:
             "network_delay", "commit_timeout", "failure_rate", "repair_time",
             "service_time", "arrival_spread", "restart_delay",
             "restart_jitter", "timeout", "arrival_rate", "max_transactions",
+            "warmup_time", "commit_fault_tolerance",
         ],
     )
     def test_negative_value_rejected(self, field):
@@ -93,7 +94,7 @@ class TestConfigValidation:
             network_delay=0.0, failure_rate=0.0, repair_time=0.0,
             service_time=0.0, arrival_spread=0.0, restart_delay=0.0,
             restart_jitter=0.0, timeout=0.0, arrival_rate=0.0,
-            max_transactions=0,
+            max_transactions=0, warmup_time=0.0, commit_fault_tolerance=0,
         )
         assert config.network_delay == 0.0
 

@@ -1,10 +1,10 @@
 """The metrics sampler's waits-for edge count at each window close.
 
-Under every policy the sampler rebuilds the edges of the transactions
-the lock tables list as blocked (``Simulator._blocked()``), instead of
-visiting every transaction the run ever injected. The count must equal
-the full rebuild's, ``Simulator._wait_for_edges()``, at every close;
-the grid below checks it under wound-wait, wait-die and timeout.
+Under every policy the sampler reads the edges from the lock tables'
+queues (``Simulator._wait_for_edges()``), without visiting any
+transaction. The count must equal a full rebuild's over the instances
+(``tests.helpers.reference_wait_for_edges``) at every close; the grid
+below checks it under wound-wait, wait-die and timeout.
 """
 
 import itertools
@@ -15,6 +15,8 @@ import pytest
 from repro.sim.observe import ObserveConfig
 from repro.sim.runtime import _COMMITTED, SimulationConfig, Simulator
 from repro.sim.workload import WorkloadSpec, random_system
+
+from tests.helpers import reference_wait_for_edges
 
 
 def _observed(policy, reads, factor, failures, seed=1) -> Simulator:
@@ -53,7 +55,9 @@ class TestEdgeCountAtWindowClose:
 
         def checked():
             count = edge_count()
-            full = sum(len(h) for h in sim._wait_for_edges().values())
+            full = sum(
+                len(h) for h in reference_wait_for_edges(sim).values()
+            )
             assert count == full, sim.now
             counts.append(count)
             return count
@@ -101,5 +105,4 @@ class TestEdgeCountAtWindowClose:
         result = sim.run()
         assert result.committed == result.total
         assert max(committed_at_close) > 0
-        assert visited, "no window close visited a waiting transaction"
-        assert _COMMITTED not in visited
+        assert not visited, "a window close read an instance"

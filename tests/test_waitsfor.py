@@ -1,12 +1,15 @@
 """Who waits, read from the lock tables.
 
 The deadlock detector starts its search from the blocked set, the
-union of the sites' wait indexes. The hypothesis invariant asserts it
+union of the sites' wait indexes, and the metrics sampler and the
+flight recorder read the edges from the sites' queues
+(``Simulator._wait_for_edges``). The hypothesis invariant asserts both
 end to end: after *every* dispatched event of a real simulation, under
 every policy, the blocked set equals the waiters of a from-scratch
-rebuild over the live instances (``Simulator._wait_for_edges``) — for
-closed and open runs, with commit protocols, failures, replication,
-and shared read locks in the mix.
+rebuild over the live instances
+(``tests.helpers.reference_wait_for_edges``), and the queues' edges
+equal the rebuild's — for closed and open runs, with commit protocols,
+failures, replication, and shared read locks in the mix.
 """
 
 import random
@@ -20,12 +23,15 @@ from repro.sim.policies import policy_names
 from repro.sim.runtime import SimulationConfig, Simulator
 from repro.sim.workload import WorkloadSpec, random_system
 
+from tests.helpers import reference_wait_for_edges
+
 seeds = st.integers(min_value=0, max_value=5_000)
 policies = st.sampled_from(policy_names())
 
 
 def _checked_run(system, policy, config):
-    """Run a simulation asserting blocked set == rebuild per event."""
+    """Run a simulation asserting the lock tables == rebuild per
+    event."""
     sim = Simulator(system, policy, config)
     dispatch = sim._registry.dispatch
 
@@ -33,9 +39,11 @@ def _checked_run(system, policy, config):
 
     def checking_dispatch(payload):
         dispatch(payload)
+        rebuilt = reference_wait_for_edges(sim)
         blocked = sorted(sim._blocked())
-        rebuilt = sorted(sim._wait_for_edges())
-        if blocked != rebuilt and len(failures) < 3:
+        if (
+            blocked != sorted(rebuilt) or sim._wait_for_edges() != rebuilt
+        ) and len(failures) < 3:
             failures.append((payload, blocked, rebuilt))
 
     # The registry instance is per-simulator; shadowing dispatch on it
@@ -43,7 +51,9 @@ def _checked_run(system, policy, config):
     sim._registry.dispatch = checking_dispatch
     result = sim.run()
     assert failures == [], failures[:1]
-    assert sorted(sim._blocked()) == sorted(sim._wait_for_edges())
+    rebuilt = reference_wait_for_edges(sim)
+    assert sorted(sim._blocked()) == sorted(rebuilt)
+    assert sim._wait_for_edges() == rebuilt
     return sim, result
 
 
